@@ -7,24 +7,18 @@
 //! parsing. Timing is [`albatross_testkit::BenchTimer`] (warm-up +
 //! calibrated samples, median/p99 report).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
-use albatross_core::engine::{EgressBuf, PlbEngine, PlbEngineConfig};
 use albatross_core::ratelimit::{RateLimiterConfig, TwoStageRateLimiter};
 use albatross_core::reorder::{ReorderConfig, ReorderQueue};
 use albatross_fpga::pkt::NicPacket;
-use albatross_fpga::PktBurst;
 use albatross_gateway::lpm::{LpmTable, Prefix};
 use albatross_packet::flow::parse_frame;
 use albatross_packet::meta::PlbMeta;
 use albatross_packet::{FiveTuple, PacketBuilder, ToeplitzHasher};
 use albatross_sim::{SimRng, SimTime};
-use albatross_telemetry::{Counter, LatencyHistogram};
-use albatross_testkit::{BenchStats, BenchTimer};
-use albatross_workload::FlowSet;
+use albatross_testkit::BenchTimer;
 
 fn bench_lpm(timer: &BenchTimer) {
     let mut table = LpmTable::new();
@@ -117,103 +111,6 @@ fn bench_meta(timer: &BenchTimer) {
     });
 }
 
-/// Packets pushed through the datapath per timed iteration — a multiple of
-/// every measured burst size, so per-iteration pps compares directly.
-const PKTS_PER_ITER: u64 = 64;
-
-/// The scalar per-packet pipeline, exactly as the simulator ran before the
-/// burst refactor: one scheduled event pushed and popped per packet, one
-/// [`PlbEngine::ingress`] call, one allocating [`PlbEngine::cpu_return`],
-/// one histogram/counter update per packet.
-fn bench_scalar_datapath(timer: &BenchTimer, flows: &FlowSet) -> BenchStats {
-    let mut engine = PlbEngine::new(PlbEngineConfig::for_pod(24));
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut hist = LatencyHistogram::new();
-    let mut tx = Counter::new();
-    let mut t = 0u64;
-    let mut i = 0usize;
-    timer.bench("burst_datapath_scalar", || {
-        for _ in 0..PKTS_PER_ITER {
-            t += 100;
-            let now = SimTime::from_nanos(t);
-            heap.push(Reverse((t, t)));
-            let _ = heap.pop();
-            i = (i + 1) % flows.len();
-            let mut pkt = NicPacket::data(t, flows.flow(i), flows.vni(), 256, now);
-            engine.ingress(&mut pkt, now);
-            for eg in engine.cpu_return(pkt, true, now) {
-                hist.record(black_box(eg.into_packet().id) & 0x3FFF);
-                tx.add(1);
-            }
-        }
-        black_box(tx.get())
-    })
-}
-
-/// The burst pipeline at one burst size: one scheduled event per burst
-/// (inline-arrival batching), vectorized dispatch, allocation-free returns
-/// into reused scratch, batched telemetry.
-fn bench_burst_datapath_at(timer: &BenchTimer, flows: &FlowSet, burst_size: usize) -> BenchStats {
-    let mut engine = PlbEngine::new(PlbEngineConfig::for_pod(24));
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut hist = LatencyHistogram::new();
-    let mut tx = Counter::new();
-    let mut burst = PktBurst::with_capacity(burst_size);
-    let mut decisions = Vec::with_capacity(burst_size);
-    let mut egress = EgressBuf::with_capacity(burst_size);
-    let mut lat = Vec::with_capacity(burst_size);
-    let mut t = 0u64;
-    let mut i = 0usize;
-    timer.bench(&format!("burst_datapath_{burst_size}"), || {
-        for _ in 0..PKTS_PER_ITER / burst_size as u64 {
-            // One heap event admits the whole burst; the rest arrive inline.
-            heap.push(Reverse((t + 100, t)));
-            let _ = heap.pop();
-            for _ in 0..burst_size {
-                t += 100;
-                i = (i + 1) % flows.len();
-                let pkt =
-                    NicPacket::data(t, flows.flow(i), flows.vni(), 256, SimTime::from_nanos(t));
-                burst.push(pkt).expect("burst sized to the chunk");
-            }
-            let now = SimTime::from_nanos(t);
-            decisions.clear();
-            engine.ingress_burst(&mut burst, now, &mut decisions);
-            egress.clear();
-            engine.cpu_return_burst(&mut burst, true, now, &mut egress);
-            lat.clear();
-            for eg in egress.drain() {
-                lat.push(black_box(eg.into_packet().id) & 0x3FFF);
-            }
-            hist.record_batch(&lat);
-            tx.add(lat.len() as u64);
-        }
-        black_box(tx.get())
-    })
-}
-
-/// Scalar vs burst datapath on the Tab. 3 workload shape (500K concurrent
-/// flows, 256 B packets). The acceptance bar for the burst refactor is
-/// ≥ 1.3× at burst 32.
-fn bench_burst_datapath(timer: &BenchTimer) {
-    let flows = FlowSet::generate(500_000, Some(7), 21);
-    let scalar = bench_scalar_datapath(timer, &flows);
-    let scalar_pps = PKTS_PER_ITER as f64 * 1e9 / scalar.median_ns;
-    println!(
-        "  scalar datapath: {:.2} Mpps (per-packet event + allocating return)",
-        scalar_pps / 1e6
-    );
-    for burst_size in [8usize, 32, 64] {
-        let stats = bench_burst_datapath_at(timer, &flows, burst_size);
-        let pps = PKTS_PER_ITER as f64 * 1e9 / stats.median_ns;
-        println!(
-            "  burst {burst_size:>2} datapath: {:.2} Mpps — {:.2}x vs scalar",
-            pps / 1e6,
-            pps / scalar_pps
-        );
-    }
-}
-
 fn main() {
     let enabled = albatross_bench::bench_enabled;
     let timer = BenchTimer::new();
@@ -234,8 +131,5 @@ fn main() {
     }
     if enabled("meta_attach_detach_tail") {
         bench_meta(&timer);
-    }
-    if enabled("burst_datapath") {
-        bench_burst_datapath(&timer);
     }
 }

@@ -14,19 +14,21 @@
 //! 5, 8, 9, 10, 11, 12, 13, 14, 16, 17) drives this loop with a different
 //! [`SimConfig`] and traffic source. Runs are deterministic per seed.
 //!
-//! # Burst datapath
+//! # Inline batching
 //!
-//! The inner loop is burst-mode (DPDK style): source packets are admitted
-//! in batches of up to [`BurstConfig::burst_size`] without bouncing each
-//! one through the event heap, zero-jitter CPU returns short-circuit the
-//! heap the same way, and every egress/timeout drain goes through
-//! preallocated scratch buffers ([`EgressBuf`], a timeout list, the
-//! utilization sample buffer) — steady state performs no allocation.
-//! Batching is *ordering-exact*: a packet is only admitted inline while it
-//! is strictly earlier than every pending event, so the event sequence —
-//! and therefore the whole report — is bit-identical for every
-//! `burst_size`, with `burst_size = 1` reproducing the scalar per-packet
-//! loop literally.
+//! Every stage runs one packet at a time, in event order: the limiter,
+//! dispatch, DMA, the core's session engine and service chain, and the
+//! reorder engine each take one call per packet. What the loop batches is
+//! its own event traffic (DPDK style): source packets are admitted in runs
+//! of up to [`BurstConfig::burst_size`] without bouncing each one through
+//! the event heap, zero-jitter CPU returns short-circuit the heap the same
+//! way, and every egress/timeout drain goes through preallocated scratch
+//! buffers ([`EgressBuf`], a timeout list, the utilization sample buffer)
+//! — steady state performs no allocation. Batching is *ordering-exact*: a
+//! packet is only admitted inline while it is strictly earlier than every
+//! pending event, so the event sequence — and therefore the whole report —
+//! is bit-identical for every `burst_size`, with `burst_size = 1`
+//! reproducing the one-event-per-packet loop literally.
 
 use std::collections::HashMap;
 
@@ -36,7 +38,6 @@ use albatross_core::engine::{
 use albatross_core::ratelimit::{RateLimiterConfig, TwoStageRateLimiter};
 use albatross_core::reorder::ReorderConfig;
 use albatross_fpga::basic::PayloadBuffer;
-use albatross_fpga::burst::BurstConfig;
 use albatross_fpga::dma::DmaEngine;
 use albatross_fpga::pipeline::{Direction, NicPipelineLatency};
 use albatross_fpga::pkt::{DeliveryMode, NicPacket};
@@ -51,6 +52,21 @@ use albatross_sim::{
 };
 use albatross_telemetry::{CoreUtilization, LatencyHistogram, RateMeter, TimeSeries};
 use albatross_workload::{PacketDesc, TrafficSource};
+
+/// Inline batching of the pod loop (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BurstConfig {
+    /// Most packets admitted (or returned) inline per event. `1` gives
+    /// every packet its own events; the default (32) matches the
+    /// conventional DPDK RX burst. The report is identical at any size.
+    pub burst_size: usize,
+}
+
+impl Default for BurstConfig {
+    fn default() -> Self {
+        Self { burst_size: 32 }
+    }
+}
 
 /// Full configuration of one simulated pod.
 #[derive(Debug, Clone)]
@@ -127,9 +143,9 @@ pub struct SimConfig {
     pub payload_buffer_bytes: u64,
     /// Statistics reset point (cache warm-up).
     pub warmup: SimTime,
-    /// Burst datapath configuration. `burst_size = 1` reproduces the
-    /// scalar per-packet loop bit-for-bit; larger sizes batch identically
-    /// (see the module docs) but amortize the event-heap traffic.
+    /// Inline batching. `burst_size = 1` gives every packet its own
+    /// events; larger sizes produce the identical report (see the module
+    /// docs) but amortize the event-heap traffic.
     pub burst: BurstConfig,
     /// Scenario seed.
     pub seed: u64,
@@ -517,7 +533,7 @@ pub struct PodSimulation {
     tenant_latency: HashMap<u32, LatencyHistogram>,
     hh_slot_occupancy: TimeSeries,
     poll_at: Option<SimTime>,
-    // burst-datapath scratch (preallocated; reused every cycle so steady
+    // egress/timeout scratch (preallocated; reused every cycle so steady
     // state never allocates)
     egress_buf: EgressBuf,
     timeout_buf: Vec<(usize, u32)>,
@@ -717,7 +733,7 @@ impl PodSimulation {
                     // Zero-jitter returns reach the TX path at `now`; if no
                     // pending event precedes them the scalar loop would pop
                     // the CpuReturn immediately after this handler, so the
-                    // burst loop calls it directly. (`maybe_start_core`
+                    // batching loop calls it directly. (`maybe_start_core`
                     // only schedules strictly-later CoreDones, so checking
                     // the heap first is exact.)
                     let inline_return = burst_size > 1

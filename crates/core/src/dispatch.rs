@@ -16,7 +16,6 @@ use albatross_packet::meta::PlbMeta;
 use albatross_packet::ToeplitzHasher;
 use albatross_sim::SimTime;
 
-use albatross_fpga::burst::BurstLanes;
 use albatross_fpga::pkt::NicPacket;
 
 use crate::reorder::ReorderQueue;
@@ -51,9 +50,6 @@ pub struct PlbDispatcher {
     hasher: ToeplitzHasher,
     dispatched: u64,
     drops: u64,
-    /// Reusable pass-1 scratch of per-packet Toeplitz hashes (SoA column),
-    /// so burst dispatch never allocates in steady state.
-    hash_scratch: Vec<u32>,
 }
 
 impl PlbDispatcher {
@@ -69,7 +65,6 @@ impl PlbDispatcher {
             hasher: ToeplitzHasher::default(),
             dispatched: 0,
             drops: 0,
-            hash_scratch: Vec::new(),
         }
     }
 
@@ -101,80 +96,6 @@ impl PlbDispatcher {
         self.rr_next = (self.rr_next + 1) % self.n_cores;
         self.dispatched += 1;
         Ok(DispatchOutcome { core, ordq, psn })
-    }
-
-    /// Dispatches a whole burst: ordq selection, PSN assignment and the
-    /// round-robin spray are run over the batch in one call, appending one
-    /// outcome per packet to `out` (same order as `pkts`). Dispatch/drop
-    /// accounting is committed once for the burst.
-    ///
-    /// Software-pipelined in two passes: pass 1 computes every packet's
-    /// Toeplitz hash (pure, the expensive part) into a reused scratch
-    /// column; pass 2 then runs the stateful admit/tag/round-robin steps in
-    /// packet order, so the decision sequence is exactly the scalar one.
-    pub fn dispatch_burst(
-        &mut self,
-        pkts: &mut [NicPacket],
-        queues: &mut [ReorderQueue],
-        now: SimTime,
-        out: &mut Vec<Result<DispatchOutcome, DispatchError>>,
-    ) {
-        self.dispatch_burst_impl(pkts, queues, now, out, None);
-    }
-
-    /// [`dispatch_burst`](Self::dispatch_burst) over an extracted SoA lane
-    /// view: identical decisions, and each admitted lane's `(ordq, psn)` is
-    /// additionally recorded into `lanes` so later stages read the dense
-    /// columns instead of each packet's meta.
-    ///
-    /// # Panics
-    /// Panics when `lanes` was not extracted from these `pkts` (length
-    /// mismatch).
-    pub fn dispatch_burst_lanes(
-        &mut self,
-        pkts: &mut [NicPacket],
-        lanes: &mut BurstLanes,
-        queues: &mut [ReorderQueue],
-        now: SimTime,
-        out: &mut Vec<Result<DispatchOutcome, DispatchError>>,
-    ) {
-        assert_eq!(lanes.len(), pkts.len(), "lane view must match the burst");
-        self.dispatch_burst_impl(pkts, queues, now, out, Some(lanes));
-    }
-
-    fn dispatch_burst_impl(
-        &mut self,
-        pkts: &mut [NicPacket],
-        queues: &mut [ReorderQueue],
-        now: SimTime,
-        out: &mut Vec<Result<DispatchOutcome, DispatchError>>,
-        mut lanes: Option<&mut BurstLanes>,
-    ) {
-        // Pass 1: pure per-packet flow hashes, batched into one column.
-        let mut hashes = std::mem::take(&mut self.hash_scratch);
-        hashes.clear();
-        hashes.extend(pkts.iter().map(|p| self.hasher.hash_tuple(&p.tuple)));
-        // Pass 2: stateful admit + tag + spray, in packet order.
-        let mut ok = 0u64;
-        let n_queues = queues.len();
-        for (i, (pkt, &hash)) in pkts.iter_mut().zip(&hashes).enumerate() {
-            let ordq = (hash as usize) % n_queues;
-            let Some(psn) = queues[ordq].admit(now) else {
-                out.push(Err(DispatchError::OrdqFull { ordq }));
-                continue;
-            };
-            pkt.meta = Some(PlbMeta::new(psn, ordq as u8, now.as_nanos()));
-            if let Some(lanes) = lanes.as_deref_mut() {
-                lanes.record_dispatch(i, ordq as u8, psn);
-            }
-            let core = self.rr_next;
-            self.rr_next = (self.rr_next + 1) % self.n_cores;
-            ok += 1;
-            out.push(Ok(DispatchOutcome { core, ordq, psn }));
-        }
-        self.hash_scratch = hashes;
-        self.dispatched += ok;
-        self.drops += pkts.len() as u64 - ok;
     }
 
     /// Packets successfully dispatched.
@@ -287,88 +208,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DispatchError::OrdqFull { ordq: 0 });
         assert_eq!(d.drops(), 1);
-        assert_eq!(d.dispatched(), 2);
-    }
-
-    #[test]
-    fn burst_dispatch_matches_scalar_sequence() {
-        let mut scalar = PlbDispatcher::new(3);
-        let mut burst = PlbDispatcher::new(3);
-        let mut qs_a = queues(2);
-        let mut qs_b = queues(2);
-        let mut pkts_a: Vec<NicPacket> = (0..16).map(|i| pkt(i, 1000 + i as u16)).collect();
-        let mut pkts_b = pkts_a.clone();
-        let scalar_out: Vec<_> = pkts_a
-            .iter_mut()
-            .map(|p| scalar.dispatch(p, &mut qs_a, SimTime::ZERO))
-            .collect();
-        let mut burst_out = Vec::new();
-        burst.dispatch_burst(&mut pkts_b, &mut qs_b, SimTime::ZERO, &mut burst_out);
-        assert_eq!(scalar_out, burst_out);
-        assert_eq!(scalar.dispatched(), burst.dispatched());
-        for (a, b) in pkts_a.iter().zip(&pkts_b) {
-            assert_eq!(
-                a.meta.map(|m| (m.psn, m.ordq)),
-                b.meta.map(|m| (m.psn, m.ordq))
-            );
-        }
-    }
-
-    #[test]
-    fn burst_dispatch_lanes_records_ordq_and_psn() {
-        let mut plain = PlbDispatcher::new(3);
-        let mut laned = PlbDispatcher::new(3);
-        let mut qs_a = vec![ReorderQueue::new(ReorderConfig {
-            depth: 8,
-            timeout_ns: 100_000,
-        })];
-        let mut qs_b = vec![ReorderQueue::new(ReorderConfig {
-            depth: 8,
-            timeout_ns: 100_000,
-        })];
-        // 12 packets into a depth-8 queue: the tail is dropped.
-        let mut pkts_a: Vec<NicPacket> = (0..12).map(|i| pkt(i, 1000 + i as u16)).collect();
-        let mut pkts_b = pkts_a.clone();
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        plain.dispatch_burst(&mut pkts_a, &mut qs_a, SimTime::ZERO, &mut out_a);
-        let mut lanes = BurstLanes::default();
-        lanes.extract_slice(&pkts_b);
-        laned.dispatch_burst_lanes(
-            &mut pkts_b,
-            &mut lanes,
-            &mut qs_b,
-            SimTime::ZERO,
-            &mut out_b,
-        );
-        assert_eq!(out_a, out_b, "lane recording must not change decisions");
-        for (i, r) in out_b.iter().enumerate() {
-            match r {
-                Ok(o) => {
-                    assert_eq!(lanes.ordqs()[i] as usize, o.ordq);
-                    assert_eq!(lanes.psns()[i], o.psn);
-                }
-                Err(_) => {
-                    assert_eq!(lanes.ordqs()[i], BurstLanes::NO_ORDQ);
-                    assert_eq!(lanes.psns()[i], BurstLanes::NO_PSN);
-                }
-            }
-        }
-        assert!(laned.drops() > 0, "test must exercise the drop lanes");
-    }
-
-    #[test]
-    fn burst_dispatch_counts_ordq_full_drops() {
-        let mut d = PlbDispatcher::new(2);
-        let mut qs = vec![ReorderQueue::new(ReorderConfig {
-            depth: 2,
-            timeout_ns: 100_000,
-        })];
-        let mut pkts: Vec<NicPacket> = (0..4).map(|i| pkt(i, 1)).collect();
-        let mut out = Vec::new();
-        d.dispatch_burst(&mut pkts, &mut qs, SimTime::ZERO, &mut out);
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 2);
-        assert_eq!(d.drops(), 2);
         assert_eq!(d.dispatched(), 2);
     }
 

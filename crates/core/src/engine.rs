@@ -18,7 +18,6 @@
 use albatross_sim::SimTime;
 
 use albatross_fpga::pkt::NicPacket;
-use albatross_fpga::{BurstLanes, PktBurst};
 
 use crate::dispatch::{DispatchError, PlbDispatcher};
 use crate::reorder::{CpuReturnOutcome, ReorderConfig, ReorderQueue, ReorderRelease, ReorderStats};
@@ -72,7 +71,7 @@ impl Egress {
     }
 }
 
-/// Caller-owned scratch buffer for egress packets — the burst datapath's
+/// Caller-owned scratch buffer for egress packets — the allocation-free
 /// counterpart to the allocating `Vec<Egress>` returns. Allocate one up
 /// front, hand it to [`PlbEngine::poll_into`] / [`PlbEngine::cpu_return_into`]
 /// each cycle, and [`EgressBuf::drain`] it afterwards: steady state performs
@@ -168,14 +167,12 @@ pub struct PlbEngine {
     auto_fallback: Option<u64>,
     fallbacks: u64,
     /// `(ordq, psn)` of heads released by timeout since the last
-    /// [`Self::take_timeouts`] call — the signal the NIC uses to reap
+    /// [`Self::take_timeouts_into`] call — the signal the NIC uses to reap
     /// retained payloads of header-only packets.
     recent_timeouts: Vec<(usize, u32)>,
-    /// Reusable scratch for queue drains (keeps the burst path
+    /// Reusable scratch for queue drains (keeps returns and polls
     /// allocation-free in steady state).
     release_scratch: Vec<ReorderRelease>,
-    /// Reusable scratch for burst dispatch outcomes.
-    dispatch_scratch: Vec<Result<crate::dispatch::DispatchOutcome, DispatchError>>,
 }
 
 impl PlbEngine {
@@ -196,18 +193,12 @@ impl PlbEngine {
             fallbacks: 0,
             recent_timeouts: Vec::new(),
             release_scratch: Vec::new(),
-            dispatch_scratch: Vec::new(),
         }
     }
 
-    /// Drains the `(ordq, psn)` pairs whose reorder info timed out since
-    /// the last call (for payload-buffer reaping in header-only mode).
-    pub fn take_timeouts(&mut self) -> Vec<(usize, u32)> {
-        std::mem::take(&mut self.recent_timeouts)
-    }
-
-    /// Like [`Self::take_timeouts`] but appends into a caller-provided
-    /// buffer instead of allocating a fresh vector.
+    /// Appends the `(ordq, psn)` pairs whose reorder info timed out since
+    /// the last call to `out` (for payload-buffer reaping in header-only
+    /// mode).
     pub fn take_timeouts_into(&mut self, out: &mut Vec<(usize, u32)>) {
         out.append(&mut self.recent_timeouts);
     }
@@ -255,81 +246,6 @@ impl PlbEngine {
         }
     }
 
-    /// Dispatches a whole ingress burst, appending one decision per packet
-    /// to `out` (same order as the burst). The round-robin spray and PSN
-    /// assignment run vectorized over the batch via
-    /// [`PlbDispatcher::dispatch_burst`]; the decision sequence is identical
-    /// to calling [`Self::ingress`] per packet.
-    pub fn ingress_burst(
-        &mut self,
-        burst: &mut PktBurst,
-        now: SimTime,
-        out: &mut Vec<IngressDecision>,
-    ) {
-        if self.mode == LbMode::Rss || self.auto_fallback.is_some() {
-            // RSS steers per-flow, and an armed auto-fallback may flip the
-            // mode mid-burst — both must see packets one at a time to match
-            // the scalar path exactly.
-            for pkt in burst.as_mut_slice() {
-                let decision = self.ingress(pkt, now);
-                out.push(decision);
-            }
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.dispatch_scratch);
-        scratch.clear();
-        self.dispatcher
-            .dispatch_burst(burst.as_mut_slice(), &mut self.queues, now, &mut scratch);
-        for res in scratch.drain(..) {
-            out.push(match res {
-                Ok(o) => IngressDecision::ToCore(o.core),
-                Err(DispatchError::OrdqFull { .. }) => IngressDecision::Dropped,
-            });
-        }
-        self.dispatch_scratch = scratch;
-    }
-
-    /// [`Self::ingress_burst`] over an SoA lane view: extracts `lanes`
-    /// from the burst (one pass over the descriptors), then dispatches so
-    /// every admitted lane's `(ordq, psn)` lands in the dense lane columns
-    /// for later stages. Decisions are identical to [`Self::ingress_burst`].
-    ///
-    /// On the RSS / armed-auto-fallback path no `(ordq, psn)` is assigned;
-    /// the lanes keep their sentinels there, exactly as packet meta stays
-    /// `None`.
-    pub fn ingress_burst_lanes(
-        &mut self,
-        burst: &mut PktBurst,
-        lanes: &mut BurstLanes,
-        now: SimTime,
-        out: &mut Vec<IngressDecision>,
-    ) {
-        lanes.extract(burst);
-        if self.mode == LbMode::Rss || self.auto_fallback.is_some() {
-            for pkt in burst.as_mut_slice() {
-                let decision = self.ingress(pkt, now);
-                out.push(decision);
-            }
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.dispatch_scratch);
-        scratch.clear();
-        self.dispatcher.dispatch_burst_lanes(
-            burst.as_mut_slice(),
-            lanes,
-            &mut self.queues,
-            now,
-            &mut scratch,
-        );
-        for res in scratch.drain(..) {
-            out.push(match res {
-                Ok(o) => IngressDecision::ToCore(o.core),
-                Err(DispatchError::OrdqFull { .. }) => IngressDecision::Dropped,
-            });
-        }
-        self.dispatch_scratch = scratch;
-    }
-
     /// Handles a packet returned by a data core.
     ///
     /// `payload_available` is consulted only for header-only packets that
@@ -345,8 +261,8 @@ impl PlbEngine {
         buf.items
     }
 
-    /// [`Self::cpu_return`] draining into a caller-owned buffer: the burst
-    /// datapath's allocation-free variant.
+    /// [`Self::cpu_return`] draining into a caller-owned buffer: the
+    /// allocation-free variant the pod simulation drives.
     pub fn cpu_return_into(
         &mut self,
         pkt: NicPacket,
@@ -373,43 +289,6 @@ impl PlbEngine {
         self.drain(ordq, now, out);
     }
 
-    /// Returns a whole burst of processed packets, draining every release
-    /// they unlock into `out`. Within one order-preserving queue the release
-    /// sequence matches per-packet [`Self::cpu_return_into`] calls exactly;
-    /// across queues the burst drains in queue-index order (one pass instead
-    /// of one per packet), which may interleave differently than scalar
-    /// returns that alternate between queues.
-    pub fn cpu_return_burst(
-        &mut self,
-        burst: &mut PktBurst,
-        payload_available: bool,
-        now: SimTime,
-        out: &mut EgressBuf,
-    ) {
-        for pkt in burst.drain() {
-            let Some(meta) = pkt.meta else {
-                out.items.push(Egress::InOrder(pkt));
-                continue;
-            };
-            let ordq = meta.ordq as usize;
-            match self.queues[ordq].cpu_return(pkt, payload_available) {
-                CpuReturnOutcome::Accepted => {}
-                CpuReturnOutcome::BestEffort(p) => out.items.push(Egress::OutOfOrder(p)),
-                CpuReturnOutcome::AcceptedDuplicate(evicted) => {
-                    if let Some(p) = evicted {
-                        out.items.push(Egress::OutOfOrder(p));
-                    }
-                }
-                CpuReturnOutcome::HeaderDropped | CpuReturnOutcome::AlreadyReleased => {}
-            }
-        }
-        // One drain pass over the queues covers every release the burst
-        // unlocked (drain is idempotent once a queue is exhausted).
-        for ordq in 0..self.queues.len() {
-            self.drain(ordq, now, out);
-        }
-    }
-
     /// Timeout-driven reorder check over all queues.
     pub fn poll(&mut self, now: SimTime) -> Vec<Egress> {
         let mut buf = EgressBuf::new();
@@ -417,8 +296,8 @@ impl PlbEngine {
         buf.items
     }
 
-    /// [`Self::poll`] draining into a caller-owned buffer: the burst
-    /// datapath's allocation-free variant.
+    /// [`Self::poll`] draining into a caller-owned buffer: the
+    /// allocation-free variant the pod simulation drives.
     pub fn poll_into(&mut self, now: SimTime, out: &mut EgressBuf) {
         for ordq in 0..self.queues.len() {
             self.drain(ordq, now, out);
@@ -658,115 +537,6 @@ mod tests {
         let mut p = pkt(1, 9);
         e.ingress(&mut p, SimTime::ZERO);
         assert!(p.meta.is_some(), "PLB mode must tag meta again");
-    }
-
-    #[test]
-    fn burst_ingress_matches_scalar_decisions() {
-        let mut scalar = engine(4, 2);
-        let mut burst = engine(4, 2);
-        let t = SimTime::from_micros(3);
-        let mut scalar_pkts: Vec<NicPacket> = (0..16).map(|i| pkt(i, 1000 + i as u16)).collect();
-        let scalar_out: Vec<IngressDecision> = scalar_pkts
-            .iter_mut()
-            .map(|p| scalar.ingress(p, t))
-            .collect();
-        let mut b = PktBurst::with_capacity(16);
-        for i in 0..16 {
-            b.push(pkt(i, 1000 + i as u16)).unwrap();
-        }
-        let mut burst_out = Vec::new();
-        burst.ingress_burst(&mut b, t, &mut burst_out);
-        assert_eq!(scalar_out, burst_out);
-        for (a, p) in scalar_pkts.iter().zip(b.as_slice()) {
-            assert_eq!(
-                a.meta.map(|m| (m.psn, m.ordq)),
-                p.meta.map(|m| (m.psn, m.ordq))
-            );
-        }
-    }
-
-    #[test]
-    fn burst_ingress_lanes_matches_plain_and_fills_columns() {
-        let mut plain = engine(4, 2);
-        let mut laned = engine(4, 2);
-        let t = SimTime::from_micros(3);
-        let mut b_a = PktBurst::with_capacity(16);
-        let mut b_b = PktBurst::with_capacity(16);
-        for i in 0..16 {
-            b_a.push(pkt(i, 1000 + i as u16)).unwrap();
-            b_b.push(pkt(i, 1000 + i as u16)).unwrap();
-        }
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        plain.ingress_burst(&mut b_a, t, &mut out_a);
-        let mut lanes = BurstLanes::with_capacity(16);
-        laned.ingress_burst_lanes(&mut b_b, &mut lanes, t, &mut out_b);
-        assert_eq!(out_a, out_b);
-        for (i, p) in b_b.as_slice().iter().enumerate() {
-            let m = p.meta.expect("all admitted in an empty engine");
-            assert_eq!(lanes.psns()[i], m.psn);
-            assert_eq!(lanes.ordqs()[i], m.ordq);
-            assert_eq!(lanes.flow_hashes()[i], p.tuple.compact_hash());
-        }
-        // RSS mode: decisions match, lanes keep their sentinels.
-        let mut rss = engine(4, 2);
-        rss.fallback_to_rss();
-        let mut out_r = Vec::new();
-        rss.ingress_burst_lanes(&mut b_b, &mut lanes, t, &mut out_r);
-        assert_eq!(lanes.len(), 16);
-        assert!(lanes.psns().iter().all(|&p| p == BurstLanes::NO_PSN));
-    }
-
-    #[test]
-    fn burst_ingress_in_rss_mode_steers_per_flow() {
-        let mut e = engine(4, 2);
-        e.fallback_to_rss();
-        let mut b = PktBurst::with_capacity(4);
-        for i in 0..4 {
-            b.push(pkt(i, 1234)).unwrap(); // one flow
-        }
-        let mut out = Vec::new();
-        e.ingress_burst(&mut b, SimTime::ZERO, &mut out);
-        let IngressDecision::ToCore(core) = out[0] else {
-            panic!("RSS never drops at ingress");
-        };
-        assert!(out.iter().all(|&d| d == IngressDecision::ToCore(core)));
-        assert!(b.as_slice().iter().all(|p| p.meta.is_none()));
-    }
-
-    #[test]
-    fn cpu_return_burst_single_ordq_matches_scalar() {
-        let mut scalar = engine(4, 1);
-        let mut burst = engine(4, 1);
-        let t = SimTime::ZERO;
-        let mut scalar_pkts = Vec::new();
-        let mut b = PktBurst::with_capacity(8);
-        for i in 0..8 {
-            let mut p = pkt(i, 5000);
-            scalar.ingress(&mut p, t);
-            scalar_pkts.push(p);
-            let mut q = pkt(i, 5000);
-            burst.ingress(&mut q, t);
-            b.push(q).unwrap();
-        }
-        scalar_pkts.reverse(); // worst-case return disorder
-        let scalar_ids: Vec<u64> = scalar_pkts
-            .into_iter()
-            .flat_map(|p| scalar.cpu_return(p, true, t + 10_000))
-            .map(|eg| eg.packet().id)
-            .collect();
-        // Reverse the burst contents the same way.
-        let mut rev: Vec<NicPacket> = b.drain().collect();
-        rev.reverse();
-        for p in rev {
-            b.push(p).unwrap();
-        }
-        let mut buf = EgressBuf::with_capacity(8);
-        burst.cpu_return_burst(&mut b, true, t + 10_000, &mut buf);
-        let burst_ids: Vec<u64> = buf.drain().map(|eg| eg.into_packet().id).collect();
-        assert_eq!(scalar_ids, burst_ids);
-        assert!(b.is_empty(), "cpu_return_burst must consume the burst");
-        assert_eq!(scalar.total_in_order(), burst.total_in_order());
     }
 
     #[test]

@@ -27,8 +27,8 @@ use albatross_sim::{SimRng, SimTime, TokenBucket};
 /// The discriminants are the counter-bank layout: passing verdicts occupy
 /// 0..=3 and dropping verdicts 4..=5, so [`Verdict::index`] and
 /// [`Verdict::passed`] are plain integer operations (no branch, no jump
-/// table) — what lets the burst path build per-lane verdict bitmasks with
-/// straight-line code.
+/// table) — the per-verdict counters are a fixed register file indexed by
+/// the discriminant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Verdict {
@@ -279,22 +279,6 @@ impl TwoStageRateLimiter {
     }
 
     fn decide(&mut self, vni: u32, now: SimTime, rng: &mut SimRng) -> Verdict {
-        let color_idx = (vni as usize) % self.cfg.color_entries;
-        let m_idx = self.meter_idx(vni);
-        self.decide_indexed(vni, color_idx, m_idx, now, rng)
-    }
-
-    /// [`decide`](Self::decide) with the pure table indices hoisted out —
-    /// the burst path computes them for all lanes in a tight pass before
-    /// any bucket is touched.
-    fn decide_indexed(
-        &mut self,
-        vni: u32,
-        color_idx: usize,
-        m_idx: usize,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Verdict {
         match self.pre_check.get(&vni) {
             Some(PreAction::Bypass) => return Verdict::PassBypass,
             Some(&PreAction::Meter(slot)) => {
@@ -308,10 +292,11 @@ impl TwoStageRateLimiter {
             None => {}
         }
         // Stage 1: shared color entry.
-        if self.color[color_idx].allow_packet(now) {
+        if self.color[(vni as usize) % self.cfg.color_entries].allow_packet(now) {
             return Verdict::PassColor;
         }
         // Marked: stage 2.
+        let m_idx = self.meter_idx(vni);
         if self.meter[m_idx].allow_packet(now) {
             return Verdict::PassMeter;
         }
@@ -320,51 +305,6 @@ impl TwoStageRateLimiter {
             self.install_heavy_hitter(vni, now);
         }
         Verdict::DropMeter
-    }
-
-    /// Runs a burst of up to 64 packets, all arriving at `now`, through the
-    /// limiter. Appends one verdict per lane to `verdicts` and returns the
-    /// branchless pass bitmask (bit `i` set iff lane `i` passed).
-    ///
-    /// Bit-identical to `vnis.len()` scalar [`process`](Self::process)
-    /// calls at the same `now`: the window is rolled once (scalar re-rolls
-    /// are no-ops at a fixed `now`), the pure table indices are hoisted
-    /// into a batched pass, and buckets, sampling RNG draws and promotions
-    /// then run in lane order exactly as the scalar loop would.
-    ///
-    /// # Panics
-    /// Panics when the burst exceeds 64 lanes.
-    pub fn process_burst(
-        &mut self,
-        vnis: &[u32],
-        now: SimTime,
-        rng: &mut SimRng,
-        verdicts: &mut Vec<Verdict>,
-    ) -> u64 {
-        let n = vnis.len();
-        assert!(n <= 64, "a verdict bitmask covers at most 64 lanes");
-        self.roll_window(now);
-        // Pass 1: pure per-lane table indices, no state touched.
-        let mut color_idx = [0usize; 64];
-        let mut m_idx = [0usize; 64];
-        for (i, &vni) in vnis.iter().enumerate() {
-            color_idx[i] = (vni as usize) % self.cfg.color_entries;
-            m_idx[i] = self.meter_idx(vni);
-        }
-        // Pass 2: stateful metering in lane order; verdicts accumulate in a
-        // local bank and fold into the counter file once per burst.
-        let mut bank = [0u64; Verdict::COUNT];
-        let mut mask = 0u64;
-        for (i, &vni) in vnis.iter().enumerate() {
-            let v = self.decide_indexed(vni, color_idx[i], m_idx[i], now, rng);
-            bank[v.index()] += 1;
-            mask |= u64::from(v.passed()) << i;
-            verdicts.push(v);
-        }
-        for (count, bumped) in self.counts.iter_mut().zip(bank) {
-            *count += bumped;
-        }
-        mask
     }
 
     /// Count of packets with the given verdict.
@@ -765,39 +705,6 @@ mod tests {
             .filter(|&i| matches!(rl.hh.candidate(i), Some((20, _))))
             .count();
         assert_eq!(slots_with_20, 1, "sketch must hold one slot per VNI");
-    }
-
-    #[test]
-    fn process_burst_matches_scalar_and_masks_passed_lanes() {
-        let cfg = small_cfg();
-        let mut scalar = TwoStageRateLimiter::new(cfg.clone());
-        let mut burst = TwoStageRateLimiter::new(cfg);
-        scalar.add_bypass(42);
-        burst.add_bypass(42);
-        let mut rng_s = SimRng::seed_from(0xBEEF);
-        let mut rng_b = SimRng::seed_from(0xBEEF);
-        // Mixed lanes: a bypass tenant, a flood tenant (drains its buckets
-        // and samples), polite tenants, and duplicates of the flooder.
-        let lanes: Vec<u32> = (0..48u32)
-            .map(|i| [42, 5, 5, 7 + i][(i % 4) as usize])
-            .collect();
-        let mut verdicts = Vec::new();
-        for tick in 0..2_000u64 {
-            let now = SimTime::from_nanos(tick * 25_000);
-            verdicts.clear();
-            let mask = burst.process_burst(&lanes, now, &mut rng_b, &mut verdicts);
-            for (i, &vni) in lanes.iter().enumerate() {
-                let want = scalar.process(vni, now, &mut rng_s);
-                assert_eq!(verdicts[i], want, "tick {tick} lane {i}");
-                assert_eq!(mask >> i & 1 == 1, want.passed(), "tick {tick} lane {i}");
-            }
-        }
-        for v in Verdict::ALL {
-            assert_eq!(burst.count(v), scalar.count(v));
-        }
-        assert_eq!(burst.promotions(), scalar.promotions());
-        assert_eq!(burst.is_promoted(5), scalar.is_promoted(5));
-        assert!(burst.count(Verdict::DropMeter) > 0, "flood must drop");
     }
 
     #[test]

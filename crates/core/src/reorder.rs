@@ -303,7 +303,7 @@ impl ReorderQueue {
     /// calls it after each CPU return and on timeout deadlines
     /// ([`Self::next_timeout`]).
     ///
-    /// Allocates a fresh `Vec` per call; the burst datapath uses
+    /// Allocates a fresh `Vec` per call; the pod simulation uses
     /// [`Self::poll_into`] with caller-owned scratch instead.
     pub fn poll(&mut self, now: SimTime) -> Vec<ReorderRelease> {
         let mut out = Vec::new();
@@ -312,8 +312,8 @@ impl ReorderQueue {
     }
 
     /// [`Self::poll`] draining into caller-owned scratch — the allocation-
-    /// free primitive the burst datapath is built on. Releases are appended
-    /// to `out` in release order.
+    /// free primitive the pod simulation's egress path is built on. Releases
+    /// are appended to `out` in release order.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<ReorderRelease>) {
         while let Some(head) = self.fifo.front().copied() {
             let idx = (head.psn & self.mask) as usize;

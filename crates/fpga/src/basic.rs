@@ -97,17 +97,6 @@ impl PayloadBuffer {
         true
     }
 
-    /// Stores a burst of `(packet id, payload length)` entries, returning
-    /// how many fit. Entries are admitted in order; the first rejection
-    /// does not stop later, smaller payloads from fitting (each miss is
-    /// counted, as in the scalar path).
-    pub fn store_burst(&mut self, entries: &[(u64, u32)]) -> usize {
-        entries
-            .iter()
-            .filter(|&&(id, len)| self.store(id, len))
-            .count()
-    }
-
     /// True if packet `id`'s payload is still retained (the legal-check
     /// probe for timed-out header-only packets).
     pub fn contains(&self, id: u64) -> bool {
@@ -207,17 +196,6 @@ mod tests {
         assert!(pb.store(3, 4_000));
         // Double-take returns None (payload already released → drop header).
         assert_eq!(pb.take(1), None);
-    }
-
-    #[test]
-    fn store_burst_admits_what_fits() {
-        let mut pb = PayloadBuffer::new(10_000);
-        let stored = pb.store_burst(&[(1, 4_000), (2, 4_000), (3, 4_000), (4, 1_000)]);
-        // 3 rejected (would exceed), 4 still fits afterwards.
-        assert_eq!(stored, 3);
-        assert_eq!(pb.used_bytes(), 9_000);
-        assert_eq!(pb.rejected(), 1);
-        assert!(pb.contains(4) && !pb.contains(3));
     }
 
     #[test]

@@ -51,33 +51,6 @@ impl DmaEngine {
         self.latency_tx_ns + bytes * self.per_byte_ps / 1000
     }
 
-    /// Charges one RX transfer per packet of the burst, appending each
-    /// latency to `out`. Byte/packet accounting is accumulated locally and
-    /// committed once for the whole burst.
-    pub fn transfer_rx_burst(&mut self, pkts: &[NicPacket], out: &mut Vec<u64>) {
-        let mut bytes_total = 0u64;
-        for pkt in pkts {
-            let bytes = u64::from(pkt.pcie_bytes());
-            bytes_total += bytes;
-            out.push(self.latency_rx_ns + bytes * self.per_byte_ps / 1000);
-        }
-        self.bytes_rx += bytes_total;
-        self.packets_rx += pkts.len() as u64;
-    }
-
-    /// Burst variant of [`Self::transfer_tx`]; see
-    /// [`Self::transfer_rx_burst`].
-    pub fn transfer_tx_burst(&mut self, pkts: &[NicPacket], out: &mut Vec<u64>) {
-        let mut bytes_total = 0u64;
-        for pkt in pkts {
-            let bytes = u64::from(pkt.pcie_bytes());
-            bytes_total += bytes;
-            out.push(self.latency_tx_ns + bytes * self.per_byte_ps / 1000);
-        }
-        self.bytes_tx += bytes_total;
-        self.packets_tx += pkts.len() as u64;
-    }
-
     /// Total bytes moved NIC→CPU.
     pub fn bytes_rx(&self) -> u64 {
         self.bytes_rx
@@ -142,26 +115,6 @@ mod tests {
         assert_eq!(split.bytes_rx(), 6_400);
         // >99% PCIe bandwidth saving for jumbo frames.
         assert!(split.bytes_rx() * 100 < full.bytes_rx());
-    }
-
-    #[test]
-    fn burst_transfer_matches_scalar_exactly() {
-        let mut scalar = DmaEngine::production();
-        let mut burst = DmaEngine::production();
-        let pkts: Vec<NicPacket> = (0..5)
-            .map(|i| pkt(64 + i * 1000, DeliveryMode::FullPacket))
-            .collect();
-        let scalar_lat: Vec<u64> = pkts.iter().map(|p| scalar.transfer_rx(p)).collect();
-        let mut burst_lat = Vec::new();
-        burst.transfer_rx_burst(&pkts, &mut burst_lat);
-        assert_eq!(scalar_lat, burst_lat);
-        assert_eq!(scalar.bytes_rx(), burst.bytes_rx());
-        assert_eq!(scalar.packets_rx(), burst.packets_rx());
-        let scalar_tx: Vec<u64> = pkts.iter().map(|p| scalar.transfer_tx(p)).collect();
-        let mut burst_tx = Vec::new();
-        burst.transfer_tx_burst(&pkts, &mut burst_tx);
-        assert_eq!(scalar_tx, burst_tx);
-        assert_eq!(scalar.bytes_tx(), burst.bytes_tx());
     }
 
     #[test]

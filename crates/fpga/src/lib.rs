@@ -19,8 +19,6 @@
 //!   priority / RSS / PLB paths with full or header-only delivery.
 //! * [`basic`] — VLAN encap/decap and the header-payload split payload
 //!   buffer.
-//! * [`burst`] — the [`burst::PktBurst`] descriptor batch behind the
-//!   DPDK-style burst datapath (fixed capacity, reusable backing storage).
 //! * [`dma`] — the PCIe DMA model (latency + bytes-moved accounting, which
 //!   is where header-only delivery pays off).
 //! * [`sriov`] — PF/VF partitioning that gives each GW pod its own queues.
@@ -36,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod basic;
-pub mod burst;
 pub mod dma;
 pub mod offload;
 pub mod pipeline;
@@ -48,7 +45,6 @@ pub mod sriov;
 pub mod tier;
 pub mod tofino;
 
-pub use burst::{BurstConfig, BurstLanes, PktBurst};
 pub use pipeline::{NicPipelineLatency, StageBreakdown};
 pub use pkt::{DeliveryMode, NicPacket};
 pub use pktdir::{PacketClass, PktDir};

@@ -103,12 +103,11 @@ impl NicPipelineLatency {
 }
 
 /// Records a packet's per-stage transit timestamps (the Tab. 4 measurement
-/// instrument). Records are count-weighted so a whole burst of identical
-/// transits costs one record, not one per packet.
+/// instrument).
 #[derive(Debug, Clone, Default)]
 pub struct StageBreakdown {
-    /// `(stage, direction, ns, packet count)` — one entry per record call.
-    records: Vec<(Stage, Direction, u64, u64)>,
+    /// `(stage, direction, ns)` — one entry per record call.
+    records: Vec<(Stage, Direction, u64)>,
 }
 
 impl StageBreakdown {
@@ -119,26 +118,17 @@ impl StageBreakdown {
 
     /// Records that `stage` took `ns` in `dir` for one packet.
     pub fn record(&mut self, stage: Stage, dir: Direction, ns: u64) {
-        self.record_n(stage, dir, ns, 1);
+        self.records.push((stage, dir, ns));
     }
 
-    /// Records that `stage` took `ns` in `dir` for each of `n` packets —
-    /// the amortized bookkeeping path of burst transits.
-    pub fn record_n(&mut self, stage: Stage, dir: Direction, ns: u64, n: u64) {
-        if n > 0 {
-            self.records.push((stage, dir, ns, n));
-        }
-    }
-
-    /// Average latency of `stage` in `dir` over all recorded transits,
-    /// weighted by each record's packet count.
+    /// Average latency of `stage` in `dir` over all recorded transits.
     pub fn mean_ns(&self, stage: Stage, dir: Direction) -> f64 {
         let (sum, count) = self
             .records
             .iter()
-            .filter(|(s, d, _, _)| *s == stage && *d == dir)
-            .fold((0u128, 0u64), |(sum, count), &(_, _, ns, n)| {
-                (sum + u128::from(ns) * u128::from(n), count + n)
+            .filter(|(s, d, _)| *s == stage && *d == dir)
+            .fold((0u128, 0u64), |(sum, count), &(_, _, ns)| {
+                (sum + u128::from(ns), count + 1)
             });
         if count == 0 {
             0.0
@@ -161,24 +151,10 @@ pub fn transit(
     start: SimTime,
     breakdown: &mut StageBreakdown,
 ) -> SimTime {
-    transit_burst(lat, dir, start, 1, breakdown)
-}
-
-/// Walks a burst of `n` packets through all stages in `dir` at `start`.
-/// The fixed stage latencies apply to every packet identically, so the
-/// bookkeeping is amortized to one record per stage regardless of `n`;
-/// returns the common exit time.
-pub fn transit_burst(
-    lat: &NicPipelineLatency,
-    dir: Direction,
-    start: SimTime,
-    n: u64,
-    breakdown: &mut StageBreakdown,
-) -> SimTime {
     let mut now = start;
     for &stage in &Stage::ALL {
         let ns = lat.stage_ns(stage, dir);
-        breakdown.record_n(stage, dir, ns, n);
+        breakdown.record(stage, dir, ns);
         now += ns;
     }
     now
@@ -237,29 +213,6 @@ mod tests {
         assert_eq!(bd.mean_ns(Stage::Plb, Direction::Tx), 350.0);
         assert_eq!(bd.total_mean_ns(Direction::Rx), 3_900.0);
         assert_eq!(bd.total_mean_ns(Direction::Tx), 4_170.0);
-    }
-
-    #[test]
-    fn burst_transit_matches_scalar_bookkeeping() {
-        let l = NicPipelineLatency::production();
-        let mut scalar = StageBreakdown::new();
-        let mut burst = StageBreakdown::new();
-        for i in 0..32 {
-            transit(&l, Direction::Rx, SimTime::from_micros(i), &mut scalar);
-        }
-        let t0 = SimTime::from_micros(0);
-        let exit = transit_burst(&l, Direction::Rx, t0, 32, &mut burst);
-        assert_eq!(exit - t0, l.total_ns(Direction::Rx));
-        for &s in &Stage::ALL {
-            assert_eq!(
-                scalar.mean_ns(s, Direction::Rx),
-                burst.mean_ns(s, Direction::Rx)
-            );
-        }
-        assert_eq!(
-            scalar.total_mean_ns(Direction::Rx),
-            burst.total_mean_ns(Direction::Rx)
-        );
     }
 
     #[test]

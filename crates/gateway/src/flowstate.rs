@@ -7,7 +7,7 @@
 //! install on its only packet. This module models that resource exactly:
 //!
 //! * the resident-flow map is an [`albatross_mem::flowtab::FlowTable`]
-//!   (capacity-bounded, deterministically hashed, batched probes);
+//!   (capacity-bounded, deterministically hashed);
 //! * insertion rate is a token bucket (the PR 9
 //!   [`InstallBudget`] machinery):
 //!   first-sight flows that win a token install and fast-path; flows that
@@ -24,15 +24,12 @@
 //! install tokens, not table slots, so resident (established) flows keep
 //! their fast path — the table-churn-as-attack-vector exhibit.
 //!
-//! [`FlowStateEngine::classify_burst`] is the batched entry point the pod
-//! simulation drives: pass 1 probes the whole arrival batch through
-//! [`FlowTable::lookup_burst`] (hashes first, probes back-to-back — PR 6's
-//! miss-hiding shape), pass 2 resolves lanes in arrival order. Verdicts
-//! are defined to be identical to N scalar [`FlowStateEngine::on_packet`]
-//! calls, so burst geometry can never change one output byte.
+//! The pod simulation calls [`FlowStateEngine::on_packet`] once per packet,
+//! in event order, when the packet's data core starts it, and
+//! [`FlowStateEngine::expire`] on the sampling tick.
 
 use albatross_fpga::tier::InstallBudget;
-use albatross_mem::flowtab::{ExpiryWheel, FlowTable, InsertOutcome, SlotRef, WheelDecision};
+use albatross_mem::flowtab::{ExpiryWheel, FlowTable, InsertOutcome, WheelDecision};
 use albatross_packet::FiveTuple;
 use albatross_sim::{SimTime, TokenBucket};
 
@@ -97,8 +94,6 @@ pub struct FlowStateEngine {
     installs: u64,
     deferred: u64,
     expired: u64,
-    /// Scratch for `classify_burst` pass 1, reused across bursts.
-    slots: Vec<Option<SlotRef>>,
 }
 
 impl FlowStateEngine {
@@ -117,7 +112,6 @@ impl FlowStateEngine {
             installs: 0,
             deferred: 0,
             expired: 0,
-            slots: Vec::new(),
         }
     }
 
@@ -155,38 +149,6 @@ impl FlowStateEngine {
             return FlowVerdict::Resident;
         }
         self.miss(tuple, now)
-    }
-
-    /// Batched classification of one arrival burst, in arrival order.
-    /// `out` is cleared and filled with one verdict per tuple; results are
-    /// identical to N [`FlowStateEngine::on_packet`] calls (batch-internal
-    /// duplicates resolve sequentially: the second packet of a flow whose
-    /// first packet installed earlier in the same burst is a `Resident`
-    /// hit).
-    pub fn classify_burst(
-        &mut self,
-        tuples: &[FiveTuple],
-        now: SimTime,
-        out: &mut Vec<FlowVerdict>,
-    ) {
-        let mut slots = std::mem::take(&mut self.slots);
-        self.table.lookup_burst(tuples, &mut slots);
-        out.clear();
-        for (tuple, slot) in tuples.iter().zip(slots.iter()) {
-            match slot {
-                Some(s) => {
-                    let (_, last) = self.table.at_mut(*s).expect("no removals inside a burst");
-                    *last = now;
-                    self.hits += 1;
-                    out.push(FlowVerdict::Resident);
-                }
-                // Pass-1 miss: resolve through the scalar path, which
-                // re-probes — an earlier lane of this burst may have
-                // installed the same flow.
-                None => out.push(self.on_packet(tuple, now)),
-            }
-        }
-        self.slots = slots;
     }
 
     /// Ages out idle entries (amortized `O(expired)` via the wheel);
@@ -326,43 +288,5 @@ mod tests {
         assert_eq!(e.expire(t), 2);
         assert_eq!(e.on_packet(&flow(3), t), FlowVerdict::Installed);
         assert_eq!(e.len(), 1);
-    }
-
-    #[test]
-    fn burst_classification_equals_scalar_with_duplicates() {
-        let tuples: Vec<FiveTuple> = (0..48).map(|i| flow(i % 20)).collect();
-        let cfg = FlowStateConfig {
-            capacity: 16, // smaller than the flow domain: Full fires too
-            idle_timeout: SimTime::from_millis(10),
-            install_budget: Some(InstallBudget {
-                installs_per_sec: 100_000.0,
-                burst: 8.0,
-            }),
-            install_ns: 600,
-            slowpath_ns: 1_800,
-        };
-        let now = SimTime::from_micros(3);
-        let mut burst_engine = FlowStateEngine::new(&cfg);
-        let mut burst_out = Vec::new();
-        burst_engine.classify_burst(&tuples, now, &mut burst_out);
-        let mut scalar_engine = FlowStateEngine::new(&cfg);
-        let scalar_out: Vec<FlowVerdict> = tuples
-            .iter()
-            .map(|t| scalar_engine.on_packet(t, now))
-            .collect();
-        assert_eq!(burst_out, scalar_out);
-        assert_eq!(burst_engine.len(), scalar_engine.len());
-        assert_eq!(
-            (
-                burst_engine.hits(),
-                burst_engine.installs(),
-                burst_engine.deferred()
-            ),
-            (
-                scalar_engine.hits(),
-                scalar_engine.installs(),
-                scalar_engine.deferred()
-            ),
-        );
     }
 }

@@ -155,61 +155,6 @@ impl LpmTable {
         (nh, probes)
     }
 
-    /// Software-pipelined batch lookup: appends one result per address to
-    /// `out`, in input order, each identical to [`Self::lookup`] on that
-    /// address.
-    ///
-    /// Per populated prefix length (longest first), pass 1 computes every
-    /// lane's masked key in one branch-free sweep, then pass 2 probes the
-    /// length's map for all still-unresolved lanes back to back — the
-    /// hide-the-miss pattern: consecutive independent probes instead of one
-    /// dependent probe chain per packet. Lanes are processed in chunks of
-    /// 64 with a resolution bitmask, so the scratch lives on the stack.
-    pub fn lookup_burst(&self, addrs: &[u32], out: &mut Vec<Option<u32>>) {
-        for chunk in addrs.chunks(64) {
-            self.lookup_chunk(chunk, out);
-        }
-    }
-
-    fn lookup_chunk(&self, addrs: &[u32], out: &mut Vec<Option<u32>>) {
-        let n = addrs.len();
-        let base = out.len();
-        out.resize(base + n, None);
-        let lanes = &mut out[base..];
-        let mut unresolved: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut keys = [0u32; 64];
-        let mut bits = self.populated & !1;
-        while bits != 0 && unresolved != 0 {
-            let len = 63 - bits.leading_zeros();
-            bits &= !(1u64 << len);
-            let mask = u32::MAX << (32 - len);
-            // Pass 1: masked keys for every lane (cheaper branch-free than
-            // testing which lanes still need this length).
-            for (key, addr) in keys[..n].iter_mut().zip(addrs) {
-                *key = addr & mask;
-            }
-            // Pass 2: probe unresolved lanes back to back.
-            let map = &self.maps[len as usize];
-            let mut pending = unresolved;
-            while pending != 0 {
-                let i = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                if let Some(&nh) = map.get(&keys[i]) {
-                    lanes[i] = Some(nh);
-                    unresolved &= !(1u64 << i);
-                }
-            }
-        }
-        if unresolved != 0 && self.populated & 1 != 0 {
-            let default = self.maps[0].get(&0).copied();
-            while unresolved != 0 {
-                let i = unresolved.trailing_zeros() as usize;
-                unresolved &= unresolved - 1;
-                lanes[i] = default;
-            }
-        }
-    }
-
     /// Exact-match lookup of a specific prefix.
     pub fn get(&self, prefix: Prefix) -> Option<u32> {
         self.maps[prefix.len as usize].get(&prefix.bits).copied()
@@ -336,29 +281,6 @@ mod tests {
         t.remove(p("0.0.0.0", 0));
         assert_eq!(t.populated_lengths(), 0);
         assert_eq!(t.lookup_probes("10.1.3.7".parse().unwrap()), (None, 0));
-    }
-
-    #[test]
-    fn lookup_burst_matches_scalar_with_dups_and_misses() {
-        let mut t = LpmTable::new();
-        t.insert(p("10.0.0.0", 8), 1);
-        t.insert(p("10.1.0.0", 16), 2);
-        t.insert(p("10.1.2.0", 24), 3);
-        let addrs: Vec<u32> = [
-            "10.1.2.3",
-            "10.1.9.9",
-            "10.200.0.1",
-            "192.168.0.1",
-            "10.1.2.3",
-        ]
-        .iter()
-        .map(|s| u32::from(s.parse::<Ipv4Addr>().unwrap()))
-        .collect();
-        let mut out = Vec::new();
-        t.lookup_burst(&addrs, &mut out);
-        let scalar: Vec<Option<u32>> = addrs.iter().map(|&a| t.lookup(Ipv4Addr::from(a))).collect();
-        assert_eq!(out, scalar);
-        assert_eq!(out, vec![Some(3), Some(2), Some(1), None, Some(3)]);
     }
 
     #[test]

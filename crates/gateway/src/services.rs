@@ -232,91 +232,6 @@ impl ServicePipeline {
             action,
         }
     }
-
-    /// Processes a burst of packets (one flow hash per packet) on `core`,
-    /// appending one outcome per packet to `out`.
-    ///
-    /// Data-oriented: the chain runs *step-major* over 64-lane chunks. For
-    /// each step, pass 1 computes every lane's entry address (pure mixing,
-    /// no state), then pass 2 issues the memory-model charges for all still
-    /// active lanes back to back — the batched access order that lets
-    /// consecutive lanes of one step share cache lines and overlap misses,
-    /// instead of interleaving each packet's whole chain. ACL denial
-    /// deactivates a lane after its ACL charge (same per-lane charges as
-    /// scalar [`Self::process`]); jitter is drawn once per lane, in lane
-    /// order, so the RNG stream matches the scalar loop draw for draw.
-    ///
-    /// Per-lane `action`s are identical to scalar processing and the total
-    /// number of memory accesses is the same; individual `latency_ns`
-    /// values may differ because the shared cache sees the accesses in the
-    /// batched order.
-    pub fn process_burst(
-        &self,
-        core: usize,
-        flow_hashes: &[u64],
-        tables: &CloudGatewayTables,
-        mem: &mut MemorySystem,
-        rng: &mut SimRng,
-        out: &mut Vec<ProcessOutcome>,
-    ) {
-        out.reserve(flow_hashes.len());
-        for chunk in flow_hashes.chunks(64) {
-            self.process_chunk(core, chunk, tables, mem, rng, out);
-        }
-    }
-
-    /// One ≤64-lane chunk of [`Self::process_burst`].
-    fn process_chunk(
-        &self,
-        core: usize,
-        chunk: &[u64],
-        tables: &CloudGatewayTables,
-        mem: &mut MemorySystem,
-        rng: &mut SimRng,
-        out: &mut Vec<ProcessOutcome>,
-    ) {
-        let n = chunk.len();
-        let mut latency = [self.base_ns; 64];
-        let mut addrs = [0u64; 64];
-        let mut active: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let all = active;
-        for (i, step) in self.steps.iter().enumerate() {
-            // Pass 1: pure per-lane entry addresses for this step.
-            for (addr, &h) in addrs[..n].iter_mut().zip(chunk) {
-                *addr = tables.ws.entry_addr(step.table, mix(h, step.salt));
-            }
-            // Pass 2: charge the still-active lanes back to back.
-            let acl_m = self.acl_drop_modulus.filter(|_| step.table == tables.acl);
-            let mut pending = active;
-            while pending != 0 {
-                let lane = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                latency[lane] += mem.read_entry(core, addrs[lane], self.entry_bytes[i]);
-                if let Some(m) = acl_m {
-                    if chunk[lane].is_multiple_of(m) {
-                        // Denied: the lane is charged for the ACL read it
-                        // just did, then sits out the rest of the chain.
-                        active &= !(1u64 << lane);
-                    }
-                }
-            }
-        }
-        for (lane, &lane_lat) in latency.iter().enumerate().take(n) {
-            let mut lat = lane_lat;
-            if let Some(model) = &self.extra_jitter {
-                lat += model.sample(rng);
-            }
-            let dropped = all & !active & (1u64 << lane) != 0;
-            out.push(ProcessOutcome {
-                latency_ns: lat,
-                action: if dropped {
-                    PacketAction::Drop
-                } else {
-                    PacketAction::Forward
-                },
-            });
-        }
-    }
 }
 
 /// splitmix-style 64-bit mix of flow hash and step salt.
@@ -463,62 +378,6 @@ mod tests {
         let a = base.process(0, 1, &t, &mut mem_a, &mut rng).latency_ns;
         let b = jittered.process(0, 1, &t, &mut mem_b, &mut rng).latency_ns;
         assert_eq!(b, a + 5_000);
-    }
-
-    #[test]
-    fn process_burst_matches_scalar_actions_and_charges() {
-        // The step-major burst path issues the SAME per-lane memory charges
-        // as scalar processing, just in batched order: actions must be
-        // identical, and so must the total access count (an ACL-denied lane
-        // must not be charged for steps after its denial). Latencies may
-        // legitimately differ — the shared cache sees a different order.
-        let t = tables_small();
-        let p = ServicePipeline::new(ServiceKind::VpcInternet, &t)
-            .with_acl_drop_modulus(4)
-            .with_extra_jitter(LatencyModel::Fixed(100));
-        let mut mem_a = mem_small();
-        let mut mem_b = mem_small();
-        let mut rng_a = SimRng::seed_from(7);
-        let mut rng_b = SimRng::seed_from(7);
-        // >64 hashes so the chunking boundary is crossed.
-        let hashes: Vec<u64> = (0..100).collect();
-        let scalar: Vec<ProcessOutcome> = hashes
-            .iter()
-            .map(|&h| p.process(0, h, &t, &mut mem_a, &mut rng_a))
-            .collect();
-        let mut burst = Vec::new();
-        p.process_burst(0, &hashes, &t, &mut mem_b, &mut rng_b, &mut burst);
-        assert_eq!(scalar.len(), burst.len());
-        for (i, (a, b)) in scalar.iter().zip(&burst).enumerate() {
-            assert_eq!(a.action, b.action, "lane {i}");
-        }
-        let accesses = |m: &MemorySystem| m.cache().total_hits() + m.cache().total_misses();
-        assert_eq!(accesses(&mem_a), accesses(&mem_b));
-        assert!(
-            burst.iter().any(|o| o.action == PacketAction::Drop),
-            "test must exercise ACL-denied lanes"
-        );
-    }
-
-    #[test]
-    fn process_burst_of_one_is_bit_identical_to_scalar() {
-        // The burst_size=1 fidelity anchor: a single-lane burst degenerates
-        // to the scalar chain exactly, latency included.
-        let t = tables_small();
-        let p = ServicePipeline::new(ServiceKind::VpcVpc, &t)
-            .with_acl_drop_modulus(4)
-            .with_extra_jitter(LatencyModel::Fixed(9));
-        let mut mem_a = mem_small();
-        let mut mem_b = mem_small();
-        let mut rng_a = SimRng::seed_from(8);
-        let mut rng_b = SimRng::seed_from(8);
-        for h in 0..64u64 {
-            let scalar = p.process(0, h, &t, &mut mem_a, &mut rng_a);
-            let mut one = Vec::new();
-            p.process_burst(0, &[h], &t, &mut mem_b, &mut rng_b, &mut one);
-            assert_eq!(one[0].latency_ns, scalar.latency_ns, "hash {h}");
-            assert_eq!(one[0].action, scalar.action, "hash {h}");
-        }
     }
 
     #[test]

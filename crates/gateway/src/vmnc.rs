@@ -41,34 +41,6 @@ impl VmNcMap {
         self.entries.get(&(vni, vm_ip)).copied()
     }
 
-    /// Software-pipelined batch lookup over SoA lanes: `vnis[i]` and
-    /// `vm_ips[i]` (raw IPv4 bits) describe lane `i`; one result per lane is
-    /// appended to `out`, each identical to [`Self::lookup`].
-    ///
-    /// Pass 1 materialises every lane's composite `(vni, ip)` key in one
-    /// branch-free sweep over stack scratch; pass 2 probes the map back to
-    /// back, so the independent probe misses of a burst overlap instead of
-    /// forming one dependent chain per packet.
-    ///
-    /// # Panics
-    /// Panics when the lane arrays differ in length.
-    pub fn lookup_burst(&self, vnis: &[u32], vm_ips: &[u32], out: &mut Vec<Option<NcInfo>>) {
-        assert_eq!(vnis.len(), vm_ips.len(), "SoA lanes must be parallel");
-        let mut keys = [(0u32, Ipv4Addr::UNSPECIFIED); 64];
-        for (vni_chunk, ip_chunk) in vnis.chunks(64).zip(vm_ips.chunks(64)) {
-            let n = vni_chunk.len();
-            for (key, (&vni, &ip)) in keys[..n]
-                .iter_mut()
-                .zip(vni_chunk.iter().zip(ip_chunk.iter()))
-            {
-                *key = (vni, Ipv4Addr::from(ip));
-            }
-            for key in &keys[..n] {
-                out.push(self.entries.get(key).copied());
-            }
-        }
-    }
-
     /// Removes a VM (deprovisioning).
     pub fn remove(&mut self, vni: u32, vm_ip: Ipv4Addr) -> Option<NcInfo> {
         self.entries.remove(&(vni, vm_ip))
@@ -116,34 +88,6 @@ mod tests {
         assert_eq!(prev, Some(nc(1)));
         assert_eq!(m.lookup(1, "10.0.0.9".parse().unwrap()), Some(nc(7)));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn lookup_burst_matches_scalar_with_dups_and_misses() {
-        let mut m = VmNcMap::new();
-        m.insert(1, "10.0.0.5".parse().unwrap(), nc(1));
-        m.insert(2, "10.0.0.5".parse().unwrap(), nc(2));
-        m.insert(1, "10.0.0.9".parse().unwrap(), nc(3));
-        // Lanes include a duplicate key, a VNI miss, and an IP miss.
-        let vnis = [1u32, 2, 1, 3, 1, 1];
-        let ips: Vec<u32> = [
-            "10.0.0.5", "10.0.0.5", "10.0.0.9", "10.0.0.5", "10.9.9.9", "10.0.0.5",
-        ]
-        .iter()
-        .map(|s| u32::from(s.parse::<Ipv4Addr>().unwrap()))
-        .collect();
-        let mut got = Vec::new();
-        m.lookup_burst(&vnis, &ips, &mut got);
-        let want: Vec<Option<NcInfo>> = vnis
-            .iter()
-            .zip(&ips)
-            .map(|(&vni, &ip)| m.lookup(vni, Ipv4Addr::from(ip)))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(got[0], Some(nc(1)));
-        assert_eq!(got[3], None);
-        assert_eq!(got[4], None);
-        assert_eq!(got[5], got[0]);
     }
 
     #[test]

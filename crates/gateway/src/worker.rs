@@ -7,7 +7,6 @@
 //! instrument behind Fig. 10's per-core utilization dispersion.
 
 use albatross_fpga::pkt::NicPacket;
-use albatross_fpga::PktBurst;
 use albatross_sim::queue::Enqueue;
 use albatross_sim::{BoundedQueue, SimTime};
 
@@ -56,36 +55,9 @@ impl DataCore {
         self.busy_until
     }
 
-    /// Enqueues a whole burst into the RX queue, draining the burst.
-    /// Returns how many packets were accepted; the rest were tail-dropped
-    /// (counted in [`Self::rx_drops`]), exactly as per-packet
-    /// [`Self::enqueue`] calls would.
-    pub fn enqueue_burst(&mut self, burst: &mut PktBurst) -> usize {
-        let mut accepted = 0;
-        for pkt in burst.drain() {
-            if self.rx.push(pkt).is_ok() {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-
     /// Pops the next packet to process, if any.
     pub fn take_next(&mut self) -> Option<NicPacket> {
         self.rx.pop()
-    }
-
-    /// Pops packets in FIFO order into `out` until it is full or the RX
-    /// queue is empty; returns how many were taken.
-    pub fn take_burst(&mut self, out: &mut PktBurst) -> usize {
-        let mut taken = 0;
-        while !out.is_full() {
-            let Some(pkt) = self.rx.pop() else { break };
-            // Cannot overflow: the loop guard checked for room.
-            let _ = out.push(pkt);
-            taken += 1;
-        }
-        taken
     }
 
     /// Pending RX occupancy.
@@ -175,30 +147,6 @@ mod tests {
         assert_eq!(c.rx_drops(), 1);
         assert_eq!(c.take_next().unwrap().id, 1);
         assert_eq!(c.backlog(), 1);
-    }
-
-    #[test]
-    fn burst_enqueue_and_take_match_scalar_fifo() {
-        let mut scalar = DataCore::new(0, 3);
-        let mut burst = DataCore::new(0, 3);
-        for i in 0..5 {
-            let _ = scalar.enqueue(pkt(i));
-        }
-        let mut b = PktBurst::with_capacity(5);
-        for i in 0..5 {
-            b.push(pkt(i)).unwrap();
-        }
-        assert_eq!(burst.enqueue_burst(&mut b), 3);
-        assert!(b.is_empty(), "enqueue_burst must drain the burst");
-        assert_eq!(burst.rx_drops(), scalar.rx_drops());
-        assert_eq!(burst.backlog(), scalar.backlog());
-        let mut out = PktBurst::with_capacity(2);
-        assert_eq!(burst.take_burst(&mut out), 2);
-        let ids: Vec<u64> = out.drain().map(|p| p.id).collect();
-        assert_eq!(ids, vec![0, 1]);
-        assert_eq!(burst.take_burst(&mut out), 1);
-        assert_eq!(out.as_slice()[0].id, 2);
-        assert_eq!(burst.take_burst(&mut out), 0, "queue drained");
     }
 
     #[test]

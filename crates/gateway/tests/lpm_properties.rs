@@ -71,33 +71,6 @@ props! {
         assert_eq!(p.contains(Ipv4Addr::from(probe)), expected);
     }
 
-    fn lookup_burst_equals_n_scalar_lookups(
-        routes in vec_of((arb_prefix(), any::<u32>()), 0..64),
-        probes in vec_of(any::<u32>(), 1..80),
-        dup_from in any::<u32>(),
-    ) {
-        let mut table = LpmTable::new();
-        for &(p, nh) in &routes {
-            table.insert(p, nh);
-        }
-        // Force duplicate addresses into the batch: repeat one probe at a
-        // pseudo-random position (batches >64 also cross the 64-lane chunk
-        // boundary inside lookup_burst).
-        let mut addrs = probes.clone();
-        let src = (dup_from as usize) % addrs.len();
-        addrs.push(addrs[src]);
-        let mut burst = Vec::new();
-        table.lookup_burst(&addrs, &mut burst);
-        assert_eq!(burst.len(), addrs.len());
-        for (i, &addr) in addrs.iter().enumerate() {
-            assert_eq!(
-                burst[i],
-                table.lookup(Ipv4Addr::from(addr)),
-                "lane {i} addr {}", Ipv4Addr::from(addr)
-            );
-        }
-    }
-
     fn lookup_probe_count_bounded_by_populated_lengths(
         routes in vec_of((arb_prefix(), any::<u32>()), 0..32),
         probe in any::<u32>(),

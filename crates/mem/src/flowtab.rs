@@ -1,5 +1,5 @@
 //! CPS-grade flow table: cache-line-bucketed open addressing with batched
-//! probes, plus an incremental expiry wheel.
+//! inserts, plus an incremental expiry wheel.
 //!
 //! Production gateways die on connections-per-second, not packets-per-second:
 //! the *insertion* path is the bottleneck under short flows (single-packet
@@ -30,12 +30,12 @@
 //!   byte bumped on removal; a [`SlotRef`] handle is validated against it,
 //!   so externally-held references (expiry wheel entries) can never act on a
 //!   slot that was recycled under them.
-//! * **Batched probes.** [`FlowTable::lookup_burst`] /
-//!   [`FlowTable::insert_burst`] split work into the PR 6 two-pass shape:
-//!   pass 1 computes every hash (pure, branch-free), pass 2 probes the
-//!   precomputed buckets back-to-back so the memory system can overlap the
-//!   misses. Results are defined to be *identical* to N scalar calls in
-//!   order — burst size is a performance knob, never a semantics knob.
+//! * **Batched inserts.** [`FlowTable::insert_burst`] splits work into two
+//!   passes: pass 1 computes every hash (pure, branch-free), pass 2 probes
+//!   the precomputed buckets back-to-back so the memory system can overlap
+//!   the misses. Results are defined to be *identical* to N scalar
+//!   [`FlowTable::insert`] calls in order — batch size is a performance
+//!   knob, never a semantics knob.
 //!
 //! [`ExpiryWheel`] replaces full-map expiry scans: coarse timestamp buckets
 //! advanced incrementally on the sampling tick, amortized `O(expired)` per
@@ -128,7 +128,7 @@ pub struct FlowTable<K, V> {
     len: usize,
     capacity: usize,
     hasher: BuildDetFastHasher,
-    /// Scratch for burst pass 1 (hashes), reused across calls.
+    /// Scratch for `insert_burst` pass 1 (hashes), reused across calls.
     hash_scratch: Vec<u64>,
 }
 
@@ -261,15 +261,6 @@ impl<K: Copy + Eq + Hash, V> FlowTable<K, V> {
         self.entries[s].as_ref().map(|(k, v)| (k, v))
     }
 
-    /// Dereferences a slot handle mutably, rejecting stale generations.
-    pub fn at_mut(&mut self, slot: SlotRef) -> Option<(&K, &mut V)> {
-        let s = slot.slot as usize;
-        if s >= self.entries.len() || self.gens[s] != slot.generation {
-            return None;
-        }
-        self.entries[s].as_mut().map(|(k, v)| (&*k, v))
-    }
-
     #[inline]
     fn insert_hashed(&mut self, hash: u64, key: K, value: V) -> InsertOutcome {
         let home = (hash as usize) & self.bucket_mask;
@@ -397,30 +388,12 @@ impl<K: Copy + Eq + Hash, V> FlowTable<K, V> {
         })
     }
 
-    /// Batched lookup, two-pass: pass 1 hashes every key (pure, branch
+    /// Batched insert, two-pass: pass 1 hashes every key (pure, branch
     /// free), pass 2 probes the precomputed buckets back-to-back so
     /// consecutive misses overlap in the memory system. `out` is cleared
-    /// and filled with one entry per key; results are identical to calling
-    /// [`FlowTable::slot_of`] per key in order.
-    pub fn lookup_burst(&mut self, keys: &[K], out: &mut Vec<Option<SlotRef>>) {
-        let mut hashes = std::mem::take(&mut self.hash_scratch);
-        hashes.clear();
-        hashes.extend(keys.iter().map(|k| self.hash_key(k)));
-        out.clear();
-        for (key, &hash) in keys.iter().zip(hashes.iter()) {
-            let found = self.probe(hash, key);
-            out.push(found.map(|s| SlotRef {
-                slot: s as u32,
-                generation: self.gens[s],
-            }));
-        }
-        self.hash_scratch = hashes;
-    }
-
-    /// Batched insert, two-pass like [`FlowTable::lookup_burst`]. `out` is
-    /// cleared and filled with one outcome per item; results are identical
-    /// to calling [`FlowTable::insert`] per item in order (duplicates
-    /// within the batch resolve sequentially).
+    /// and filled with one outcome per item; results are identical to
+    /// calling [`FlowTable::insert`] per item in order (duplicates within
+    /// the batch resolve sequentially).
     pub fn insert_burst(&mut self, items: &[(K, V)], out: &mut Vec<InsertOutcome>)
     where
         V: Copy,
@@ -608,19 +581,6 @@ mod tests {
             }
         }
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn burst_lookup_matches_scalar() {
-        let mut t = table(128);
-        for k in 0..100u64 {
-            t.insert(k * 3, k);
-        }
-        let keys: Vec<u64> = (0..200).collect();
-        let scalar: Vec<_> = keys.iter().map(|k| t.slot_of(k)).collect();
-        let mut burst = Vec::new();
-        t.lookup_burst(&keys, &mut burst);
-        assert_eq!(burst, scalar);
     }
 
     #[test]

@@ -111,23 +111,6 @@ props! {
         churn_against_model(8, 12, &trace);
     }
 
-    /// `lookup_burst` over an arbitrary churned table equals N scalar
-    /// `slot_of` calls, including misses and repeated keys.
-    fn burst_lookup_equals_scalar(
-        seed in vec_of((any::<u16>(), any::<u64>()), 0..80),
-        probes in vec_of(any::<u16>(), 1..64),
-    ) {
-        let mut t: FlowTable<u64, u64> = FlowTable::with_capacity(64);
-        for &(k, v) in &seed {
-            let _ = t.insert(u64::from(k) % 96, v);
-        }
-        let keys: Vec<u64> = probes.iter().map(|&k| u64::from(k) % 96).collect();
-        let scalar: Vec<Option<SlotRef>> = keys.iter().map(|k| t.slot_of(k)).collect();
-        let mut burst = Vec::new();
-        t.lookup_burst(&keys, &mut burst);
-        assert_eq!(burst, scalar);
-    }
-
     /// `insert_burst` equals N scalar `insert` calls — same outcomes in
     /// order (batch-internal duplicates resolve sequentially) and an
     /// identical table afterwards, at any fill level including Full.

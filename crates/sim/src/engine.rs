@@ -27,7 +27,7 @@
 //! # Why a timing wheel
 //!
 //! The original implementation was a single `BinaryHeap`, which profiled as
-//! the #1 hotspot of the burst datapath: every event pays `O(log n)` sifting
+//! the #1 hotspot of the pod simulation loop: every event pays `O(log n)` sifting
 //! with cache-hostile strides. The engine now keeps a **near wheel** of
 //! 4,096 slots, one wheel tick ([`TICK_NS`] ns) each, covering the next
 //! ~262 µs of virtual time — which is where essentially all datapath events

@@ -92,8 +92,7 @@ impl LatencyHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` occurrences of `value`. `n == 0` is a no-op, matching
-    /// [`Self::record_batch`] on an empty slice.
+    /// Records `n` occurrences of `value`. `n == 0` is a no-op.
     pub fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
@@ -103,28 +102,6 @@ impl LatencyHistogram {
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Records every value in `values` — the bulk-observe path of the burst
-    /// datapath. Bucket increments still happen per value, but the
-    /// count/sum/min/max bookkeeping is committed once per batch.
-    pub fn record_batch(&mut self, values: &[u64]) {
-        if values.is_empty() {
-            return;
-        }
-        let mut sum = 0u128;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for &v in values {
-            self.buckets[Self::bucket_index(v)] += 1;
-            sum += v as u128;
-            min = min.min(v);
-            max = max.max(v);
-        }
-        self.count += values.len() as u64;
-        self.sum += sum;
-        self.min = self.min.min(min);
-        self.max = self.max.max(max);
     }
 
     /// Total number of recorded values.
@@ -364,34 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn record_batch_totals_survive_merge() {
-        // Shard A records a batch, shard B records the same values one by
-        // one; after merging both into fresh accumulators the totals are
-        // identical — the fleet-merge contract for the burst datapath.
-        let values: Vec<u64> = (0..512u64).map(|i| i * 731 + 17).collect();
-        let mut batch_shard = LatencyHistogram::new();
-        batch_shard.record_batch(&values[..300]);
-        batch_shard.record_batch(&values[300..]);
-        batch_shard.record_batch(&[]);
-        let mut scalar_shard = LatencyHistogram::new();
-        for &v in &values {
-            scalar_shard.record(v);
-        }
-        let mut merged_batch = LatencyHistogram::new();
-        merged_batch.merge(&batch_shard);
-        let mut merged_scalar = LatencyHistogram::new();
-        merged_scalar.merge(&scalar_shard);
-        assert_eq!(merged_batch.count(), merged_scalar.count());
-        assert_eq!(merged_batch.min(), merged_scalar.min());
-        assert_eq!(merged_batch.max(), merged_scalar.max());
-        assert_eq!(merged_batch.mean(), merged_scalar.mean());
-        assert_eq!(
-            merged_batch.nonempty_buckets().collect::<Vec<_>>(),
-            merged_scalar.nonempty_buckets().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn fraction_above_threshold() {
         let mut h = LatencyHistogram::new();
         // 99 values at 10 µs, 1 value at 200 µs.
@@ -419,31 +368,10 @@ mod tests {
     fn record_n_of_zero_is_a_noop() {
         let mut h = LatencyHistogram::new();
         h.record_n(5_000, 0);
-        // No bucket touched, no count: identical to a fresh histogram
-        // (and to record_batch(&[])).
+        // No bucket touched, no count: identical to a fresh histogram.
         assert_eq!(h.count(), 0);
         assert_eq!(h.nonempty_buckets().count(), 0);
         assert_eq!(h.min(), LatencyHistogram::new().min());
-    }
-
-    #[test]
-    fn record_batch_matches_repeated_record() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let values: Vec<u64> = (0..256u64).map(|i| i * i * 37 + 3).collect();
-        a.record_batch(&values);
-        for &v in &values {
-            b.record(v);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.min(), b.min());
-        assert_eq!(a.max(), b.max());
-        assert_eq!(a.mean(), b.mean());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.percentile(q), b.percentile(q));
-        }
-        a.record_batch(&[]); // empty batch is a no-op
-        assert_eq!(a.count(), b.count());
     }
 
     #[test]

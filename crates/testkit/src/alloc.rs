@@ -1,9 +1,9 @@
 //! Allocation-counting global allocator for steady-state tests.
 //!
-//! The burst datapath promises *zero steady-state allocation*: once the
-//! simulation's scratch buffers (packet bursts, egress buffers, timeout
-//! lists) have grown to their working size, processing more packets must
-//! not touch the allocator. That invariant is easy to break silently — a
+//! The pod simulation promises *zero steady-state allocation*: once its
+//! scratch buffers (egress buffers, timeout lists, reorder-release scratch)
+//! have grown to their working size, processing more packets must not touch
+//! the allocator. That invariant is easy to break silently — a
 //! stray `Vec::new()` in a hot path compiles fine and benches "okay" — so
 //! it is enforced by a test hook instead: install [`CountingAllocator`] as
 //! the `#[global_allocator]` of a test binary and compare
@@ -27,8 +27,10 @@
 //!
 //! The counters are process-global (`#[global_allocator]` is a singleton),
 //! relaxed-atomic, and monotone; deltas are meaningful within one thread as
-//! long as no other thread allocates concurrently — run such tests with
-//! `--test-threads=1` or in their own test binary.
+//! long as no other thread allocates concurrently — give such tests their
+//! own test binary and serialize them there (a shared `static Mutex<()>`
+//! held for each test's whole body), since the harness runs tests on
+//! parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -16,7 +16,7 @@
 //! * **`rand` in tests** → [`SimRng`] re-exported here for convenience.
 //!
 //! It also hosts [`alloc::CountingAllocator`], the `#[global_allocator]`
-//! hook behind the burst datapath's zero-steady-state-allocation tests
+//! hook behind the pod simulation's zero-steady-state-allocation tests
 //! (this crate is the one place in the workspace allowed to use `unsafe`,
 //! which a `GlobalAlloc` impl requires).
 //!

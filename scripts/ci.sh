@@ -35,6 +35,12 @@ cargo build --release --offline --workspace --benches
 echo "==> cargo test (offline)"
 cargo test -q --offline --release --workspace
 
+echo "==> perfbench self-test (offline)"
+# perfbench is its own Cargo workspace with path dependencies on crates/*,
+# so nothing above compiles it: an API change that breaks one of its layer
+# adapters must fail here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (offline, no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
@@ -91,19 +97,6 @@ echo "==> co-resident pod fleet smoke (examples/containerized_az)"
 # Control-plane walk plus the two-NUMA pod fleet merged into one server
 # report (exercises ScenarioFleet + SimReport::merge_ordered end to end).
 cargo run --release --offline --example containerized_az -- --threads 2
-
-echo "==> scalar-vs-burst datapath smoke bench"
-# The burst refactor's perf claim, exercised on every CI run: the burst
-# datapath must actually run (regressions in speedup are judged from the
-# printed report, not gated here — CI machines are too noisy for a ratio).
-cargo bench --offline -p albatross-bench --bench micro -- burst_datapath
-
-echo "==> SoA hot-path smoke bench"
-# Scalar vs burst (AoS) vs SoA lane-view hot path on the Tab. 3 shape.
-# The run starts with an untimed exactness gate (SoA ≡ AoS burst on
-# routes, NC lookups, verdicts, and the pass bitmask) that hard-fails on
-# divergence; the >= 1.3x speedup is judged from the printed report.
-cargo bench --offline -p albatross-bench --bench soa_hot_path -- soa_hot_path
 
 echo "==> fleet + timing-wheel scaling smoke bench"
 # Wheel-vs-heap events/sec and the 8-scenario fleet wall-clock ratio; the

@@ -11,6 +11,8 @@
 //!
 //! Everything runs on the deterministic simulator; the same seed always
 //! prints the same report. Argument parsing is deliberately dependency-free.
+//! A malformed or out-of-range argument prints the reason and exits with
+//! code 2.
 
 use std::process::ExitCode;
 
@@ -19,7 +21,7 @@ use albatross::core::engine::LbMode;
 use albatross::core::ratelimit::RateLimiterConfig;
 use albatross::fpga::pkt::DeliveryMode;
 use albatross::gateway::services::ServiceKind;
-use albatross::mem::Placement;
+use albatross::mem::{NumaTopology, Placement};
 use albatross::sim::SimTime;
 use albatross::workload::{ConstantRateSource, FlowSet};
 
@@ -58,6 +60,48 @@ impl Default for Args {
             cross_numa: false,
             numa_balancing: false,
         }
+    }
+}
+
+/// Highest `--pps` the source can pace: it spaces packets `1e9 / pps` ns
+/// apart, so above 1 Gpps the interval truncates to 0 and the run never
+/// advances.
+const MAX_PPS: u64 = 1_000_000_000;
+
+impl Args {
+    /// Rejects values the simulator cannot run, so a bad flag fails here
+    /// with its reason instead of panicking or hanging inside the model.
+    fn validate(&self) -> Result<(), String> {
+        let max_cores = NumaTopology::albatross_server().total_cores();
+        if !(1..=max_cores).contains(&self.cores) {
+            return Err(format!(
+                "--cores must be in 1..={max_cores} (one Albatross server), got {}",
+                self.cores
+            ));
+        }
+        if !(1..=MAX_PPS).contains(&self.pps) {
+            return Err(format!("--pps must be in 1..={MAX_PPS}, got {}", self.pps));
+        }
+        if self.flows == 0 {
+            return Err("--flows must be at least 1".into());
+        }
+        if self.pkt_bytes < 64 {
+            return Err(format!(
+                "--pkt-bytes must be at least 64 (the minimum Ethernet frame), got {}",
+                self.pkt_bytes
+            ));
+        }
+        if let Some(pps) = self.ratelimit {
+            if !(pps.is_finite() && pps > 0.0) {
+                return Err(format!(
+                    "--ratelimit must be a finite rate above 0, got {pps}"
+                ));
+            }
+        }
+        if self.acl_drop_mod == Some(0) {
+            return Err("--acl-drop-mod must be at least 1".into());
+        }
+        Ok(())
     }
 }
 
@@ -132,6 +176,7 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    args.validate()?;
     Ok((cmd, args))
 }
 
@@ -268,7 +313,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}\n");
             usage();
-            ExitCode::FAILURE
+            // The conventional exit code for a usage error.
+            ExitCode::from(2)
         }
     }
 }

@@ -1,19 +1,21 @@
-//! Zero-steady-state-allocation guard for the burst datapath.
+//! Zero-steady-state-allocation guard for the pod simulation.
 //!
-//! The burst refactor's core promise is that once the simulation's scratch
-//! buffers (packet bursts, egress buffers, timeout/utilization scratch,
-//! reorder-release scratch) reach their working size, pushing more packets
-//! through the datapath does not touch the allocator. Strict zero is not
-//! attainable at the whole-simulation level — telemetry time series and
-//! tenant rate-meter windows legitimately append as simulated time passes,
-//! and the event heap grows amortized — so this test measures the marginal
-//! cost instead: a run 5× longer than the baseline must cost only a
-//! telemetry-sized number of extra allocations, orders of magnitude below
-//! one per packet.
+//! Once the simulation's scratch buffers (egress buffer, timeout and
+//! utilization scratch, reorder-release scratch) reach their working size,
+//! pushing more packets through the pod must not touch the allocator.
+//! Strict zero is not attainable at the whole-simulation level — telemetry
+//! time series and tenant rate-meter windows legitimately append as
+//! simulated time passes, and the event heap grows amortized — so this test
+//! measures the marginal cost instead: a run 5× longer than the baseline
+//! must cost only a telemetry-sized number of extra allocations, orders of
+//! magnitude below one per packet.
 //!
 //! Lives in its own test binary because `#[global_allocator]` is
-//! process-global and the counters are only meaningful without concurrent
-//! allocating tests.
+//! process-global, and every test holds [`SERIAL`] for its whole body: the
+//! harness runs tests on parallel threads, and one test's allocations must
+//! not land in another's delta.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use albatross::container::simrun::{PodSimulation, SimConfig};
 use albatross::gateway::flowstate::FlowStateConfig;
@@ -24,6 +26,15 @@ use albatross_testkit::CountingAllocator;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// Serializes the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]. A failed test poisons it; the lock guards no data, so
+/// the remaining tests still run and report their own results.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs the standard scenario for `millis` of simulated time and returns
 /// `(packets offered, allocation calls during the run)`.
@@ -81,6 +92,7 @@ fn run_cps(millis: u64) -> (u64, u64) {
 #[test]
 fn presized_cache_stats_never_allocate_on_access() {
     use albatross::mem::SharedCache;
+    let _serial = serial();
 
     // `with_cores` pre-sizes the per-core hit/miss vectors, so accesses
     // from every in-range core — including the very first from each core —
@@ -108,6 +120,7 @@ fn presized_cache_stats_never_allocate_on_access() {
 
 #[test]
 fn longer_runs_cost_only_telemetry_allocations() {
+    let _serial = serial();
     // Warm-up run absorbs one-time lazy setup (thread-local buffers,
     // formatting machinery) so the measured runs start from steady state.
     run(2);
@@ -135,6 +148,7 @@ fn longer_runs_cost_only_telemetry_allocations() {
 
 #[test]
 fn cps_churn_costs_only_telemetry_allocations() {
+    let _serial = serial();
     // The flow table, expiry wheel, and NAT shards are fixed-capacity by
     // construction, so even pure table churn — every packet a fresh flow,
     // installs and expiries cycling constantly — must not touch the

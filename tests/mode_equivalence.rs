@@ -4,9 +4,11 @@
 
 use albatross::container::simrun::{PodSimulation, SimConfig, SimReport};
 use albatross::core::engine::{LbMode, PlbEngine, PlbEngineConfig};
+use albatross::core::ratelimit::RateLimiterConfig;
 use albatross::core::reorder::ReorderConfig;
 use albatross::fpga::pkt::NicPacket;
-use albatross::fpga::PktBurst;
+use albatross::fpga::tier::{InstallBudget, TierConfig};
+use albatross::gateway::flowstate::FlowStateConfig;
 use albatross::gateway::services::ServiceKind;
 use albatross::packet::flow::IpProtocol;
 use albatross::packet::FiveTuple;
@@ -116,8 +118,8 @@ fn reorder_timeout_bounds_worst_case_added_latency() {
 }
 
 /// Renders every field of the report, floats as raw bits — same full-fidelity
-/// dump as `determinism_telemetry.rs`, reused here to hold the burst datapath
-/// to bit-identity rather than mere counter equality.
+/// dump as `determinism_telemetry.rs`, reused here to hold the pod loop's
+/// inline batching to bit-identity rather than mere counter equality.
 fn dump(r: &SimReport) -> String {
     let mut out = String::new();
     let f = |v: f64| format!("f64:{:#018x}", v.to_bits());
@@ -138,6 +140,38 @@ fn dump(r: &SimReport) -> String {
     writeln!(out, "pcie_rx_bytes {}", r.pcie_rx_bytes).unwrap();
     writeln!(out, "pcie_tx_bytes {}", r.pcie_tx_bytes).unwrap();
     writeln!(out, "cache_hit_rate {}", f(r.cache_hit_rate)).unwrap();
+    writeln!(
+        out,
+        "hh promotions={} demotions={} evictions={} refused={}",
+        r.hh_promotions, r.hh_demotions, r.hh_evictions, r.hh_promotion_refused
+    )
+    .unwrap();
+    write!(out, "hh_slot_occupancy").unwrap();
+    for &(t, v) in r.hh_slot_occupancy.points() {
+        write!(out, " {t}:{}", f(v)).unwrap();
+    }
+    writeln!(out).unwrap();
+    writeln!(
+        out,
+        "tier fpga={} dpu={} cpu={} promotions={} upgrades={} demotions={} \
+         evictions={} expired={} deferred={}",
+        r.tier_fpga_pkts,
+        r.tier_dpu_pkts,
+        r.tier_cpu_pkts,
+        r.tier_promotions,
+        r.tier_upgrades,
+        r.tier_demotions,
+        r.tier_evictions,
+        r.tier_expired,
+        r.tier_installs_deferred
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "flow hits={} installs={} deferred={} expired={}",
+        r.flow_hits, r.flow_installs, r.flow_deferred, r.flow_expired
+    )
+    .unwrap();
 
     writeln!(
         out,
@@ -178,17 +212,111 @@ fn dump(r: &SimReport) -> String {
     out
 }
 
+/// The stateful engine a burst-size run puts in the pod's path.
+#[derive(Debug, Clone, Copy)]
+enum PodEngine {
+    /// A plain VPC-VPC pod.
+    None,
+    /// The two-stage limiter, sized to drop part of the load: every
+    /// exceeding arrival draws from the RNG for sampling, and the flooding
+    /// tenant gets promoted.
+    Limiter,
+    /// Hardware flow state with too few slots and install tokens for the
+    /// flow set, so installs, deferrals and Sample-tick expiry all occur.
+    FlowState,
+    /// FPGA/DPU/CPU session tiers with tight tables and budgets, and
+    /// Sample-tick expiry.
+    Tiers,
+}
+
+impl PodEngine {
+    const ALL: [PodEngine; 4] = [
+        PodEngine::None,
+        PodEngine::Limiter,
+        PodEngine::FlowState,
+        PodEngine::Tiers,
+    ];
+
+    fn configure(self, cfg: &mut SimConfig) {
+        if !matches!(self, PodEngine::None) {
+            // A 1 ms tick samples slot occupancy and runs session expiry
+            // many times within the run.
+            cfg.sample_window = SimTime::from_millis(1);
+        }
+        match self {
+            PodEngine::None => {}
+            PodEngine::Limiter => {
+                cfg.rate_limiter = Some(RateLimiterConfig {
+                    stage1_pps: 1_000_000.0,
+                    stage2_pps: 500_000.0,
+                    tenant_limit_pps: 1_200_000.0,
+                    promote_threshold: 8,
+                    window: SimTime::from_millis(2),
+                    ..RateLimiterConfig::production()
+                });
+            }
+            PodEngine::FlowState => {
+                cfg.flow_state = Some(FlowStateConfig {
+                    capacity: 512,
+                    idle_timeout: SimTime::from_millis(1),
+                    install_budget: Some(InstallBudget {
+                        installs_per_sec: 200_000.0,
+                        burst: 16.0,
+                    }),
+                    install_ns: 600,
+                    slowpath_ns: 1_800,
+                });
+            }
+            PodEngine::Tiers => {
+                cfg.session_tiers = Some(TierConfig {
+                    fpga_capacity: 16,
+                    dpu_capacity: 32,
+                    fpga_install_budget: Some(InstallBudget {
+                        installs_per_sec: 4_000.0,
+                        burst: 2.0,
+                    }),
+                    dpu_install_budget: Some(InstallBudget {
+                        installs_per_sec: 8_000.0,
+                        burst: 4.0,
+                    }),
+                    elephant_pkts_per_window: 3,
+                    window: SimTime::from_millis(1),
+                    demote_after_windows: Some(2),
+                    evict_on_pressure: true,
+                    candidate_slots: 64,
+                    idle_timeout: SimTime::from_millis(2),
+                    dpu_pkt_ns: 2_500,
+                    cpu_session_ns: 80,
+                });
+            }
+        }
+    }
+
+    /// True when `r` shows the engine doing the work the arm is for.
+    fn exercised(self, r: &SimReport) -> bool {
+        match self {
+            PodEngine::None => true,
+            PodEngine::Limiter => r.dropped_ratelimit > 0 && r.hh_promotions > 0,
+            PodEngine::FlowState => {
+                r.flow_installs > 0 && r.flow_deferred > 0 && r.flow_expired > 0
+            }
+            PodEngine::Tiers => r.tier_promotions > 0 && r.tier_expired > 0,
+        }
+    }
+}
+
 /// A run of the full simulated datapath at the given burst size. With
 /// `jitter`, per-packet stack jitter forces real reordering and HOL
 /// timeouts; without it, service completions carry no extra latency, which
 /// is exactly the regime where the inner loop takes its inlined
-/// CPU-return shortcut — both halves of the burst machinery get exercised.
-fn burst_report(burst_size: usize, seed: u64, jitter: bool) -> SimReport {
+/// CPU-return shortcut — both halves of the inline batching get exercised.
+fn burst_report(burst_size: usize, seed: u64, jitter: bool, engine: PodEngine) -> SimReport {
     let mut cfg = SimConfig::new(4, ServiceKind::VpcVpc);
     cfg.seed = seed;
     cfg.table_scale = 0.001;
     cfg.cache_bytes = 8 * 1024 * 1024;
     cfg.burst.burst_size = burst_size;
+    engine.configure(&mut cfg);
     if jitter {
         cfg.extra_jitter = Some(LatencyModel::Uniform {
             lo: 100_000,
@@ -210,19 +338,28 @@ fn burst_report(burst_size: usize, seed: u64, jitter: bool) -> SimReport {
 props! {
     #![cases(4)]
 
-    /// The tentpole contract: bursting is a pure mechanical transform.
-    /// Any burst size must reproduce the scalar (`burst_size = 1`) run's
+    /// Inline batching is a pure mechanical transform. Any burst size
+    /// must reproduce the one-event-per-packet (`burst_size = 1`) run's
     /// entire telemetry surface bit-for-bit — every histogram bucket,
-    /// utilization sample, and float bit.
+    /// utilization sample, and float bit — with each stateful engine in
+    /// the path: the limiter's per-arrival RNG draws and the session
+    /// engines' Sample-tick expiry must not see the batching either.
     fn burst_sizes_produce_bit_identical_telemetry(
         seed in 1u64..500,
         jitter in any::<bool>(),
     ) {
-        let scalar = dump(&burst_report(1, seed, jitter));
-        let mid = dump(&burst_report(7, seed, jitter));
-        let dpdk = dump(&burst_report(32, seed, jitter));
-        assert_eq!(scalar, mid, "burst_size 7 diverged from scalar");
-        assert_eq!(scalar, dpdk, "burst_size 32 diverged from scalar");
+        for engine in PodEngine::ALL {
+            let scalar_report = burst_report(1, seed, jitter, engine);
+            assert!(
+                engine.exercised(&scalar_report),
+                "{engine:?} arm left its engine idle"
+            );
+            let scalar = dump(&scalar_report);
+            let mid = dump(&burst_report(7, seed, jitter, engine));
+            let dpdk = dump(&burst_report(32, seed, jitter, engine));
+            assert_eq!(scalar, mid, "{engine:?}: burst_size 7 diverged from scalar");
+            assert_eq!(scalar, dpdk, "{engine:?}: burst_size 32 diverged from scalar");
+        }
     }
 }
 
@@ -238,8 +375,9 @@ fn golden_pkt(id: u64) -> NicPacket {
 }
 
 /// Golden-sequence guard: the `(ordq, psn)` tags `plb_dispatch` assigns
-/// must not depend on whether packets arrive one at a time or in bursts,
-/// and must not drift across refactors (the literal prefix pins them).
+/// must not drift across refactors (the literal prefix pins them). The pod
+/// dispatches every packet through one scalar `ingress` call, so its inline
+/// batching cannot reorder them (`burst_sizes_produce_bit_identical_telemetry`).
 #[test]
 fn golden_psn_assignment_order_is_unchanged_under_bursting() {
     let cfg = PlbEngineConfig {
@@ -253,43 +391,20 @@ fn golden_psn_assignment_order_is_unchanged_under_bursting() {
         auto_fallback_hol_timeouts: None,
     };
 
-    // Scalar: one ingress call per packet.
-    let mut scalar_engine = PlbEngine::new(cfg.clone());
-    let mut scalar_tags = Vec::new();
-    for id in 0..24u64 {
+    let mut engine = PlbEngine::new(cfg);
+    let mut tags = Vec::new();
+    for id in 0..8u64 {
         let mut pkt = golden_pkt(id);
-        scalar_engine.ingress(&mut pkt, SimTime::ZERO);
+        engine.ingress(&mut pkt, SimTime::ZERO);
         let meta = pkt.meta.expect("PLB ingress must tag the descriptor");
-        scalar_tags.push((meta.ordq, meta.psn));
+        tags.push((meta.ordq, meta.psn));
     }
 
-    // Burst: the same packets through `ingress_burst` in chunks of 8.
-    let mut burst_engine = PlbEngine::new(cfg);
-    let mut burst_tags = Vec::new();
-    let mut decisions = Vec::new();
-    for chunk in 0..3u64 {
-        let mut burst = PktBurst::with_capacity(8);
-        for i in 0..8u64 {
-            burst.push(golden_pkt(chunk * 8 + i)).unwrap();
-        }
-        decisions.clear();
-        burst_engine.ingress_burst(&mut burst, SimTime::ZERO, &mut decisions);
-        assert_eq!(decisions.len(), 8);
-        for pkt in burst.drain() {
-            let meta = pkt.meta.expect("burst ingress must tag the descriptor");
-            burst_tags.push((meta.ordq, meta.psn));
-        }
-    }
-
-    assert_eq!(
-        scalar_tags, burst_tags,
-        "PSN assignment order changed under bursting"
-    );
     // Pinned golden prefix: distinct flows alternate between the two ordqs
     // and PSNs count up per queue from zero.
     assert_eq!(
-        &scalar_tags[..8],
-        &[
+        tags,
+        [
             (1, 0),
             (0, 0),
             (1, 1),

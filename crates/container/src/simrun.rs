@@ -221,7 +221,8 @@ pub struct SimReport {
     pub core_util: CoreUtilization,
     /// Packets processed per core (after warm-up).
     pub per_core_processed: Vec<u64>,
-    /// L3 hit rate over the measured interval.
+    /// L3 hit rate over the whole run, warm-up included: the cache's
+    /// statistics are never reset at the end of the warm-up.
     pub cache_hit_rate: f64,
     /// Delivered packets per tenant over time (1 s windows).
     pub tenant_delivered: HashMap<u32, RateMeter>,
@@ -1049,11 +1050,9 @@ impl PodSimulation {
         };
         self.warm_processed_base = self.cores.iter().map(DataCore::processed).collect();
         self.latency.reset();
-        // Note: the cache is NOT reset — warm contents are the point. Only
-        // statistics restart. (SharedCache::reset_stats preserves tags.)
-        // We cannot borrow the cache mutably through MemorySystem's
-        // accessor, so the hit rate is tracked from warm-up via a snapshot
-        // subtraction below.
+        // The cache keeps its contents (warm contents are the point) and its
+        // statistics: `cache_hit_rate` covers the whole run, warm-up
+        // included.
     }
 
     fn build_report(mut self, duration: SimTime) -> SimReport {

@@ -69,6 +69,9 @@ pub struct ProcessOutcome {
     pub action: PacketAction,
 }
 
+/// Longest lookup chain of any service: VPC-Internet's 7 steps.
+const MAX_CHAIN: usize = 7;
+
 #[derive(Debug, Clone, Copy)]
 struct LookupStep {
     table: TableId,
@@ -138,6 +141,12 @@ impl ServicePipeline {
                 265,
             ),
         };
+        assert!(
+            steps.len() <= MAX_CHAIN,
+            "{} has {} lookup steps, more than MAX_CHAIN = {MAX_CHAIN}",
+            kind.name(),
+            steps.len()
+        );
         let entry_bytes = steps
             .iter()
             .map(|s| tables.ws.entry_bytes(s.table))
@@ -176,8 +185,9 @@ impl ServicePipeline {
     }
 
     /// Processes one packet of the flow identified by `flow_hash` on
-    /// `core`, charging every lookup through the memory system. The
-    /// working-set accessor `ws` maps `(table, index)` to addresses.
+    /// `core`, charging every lookup through the memory system as one
+    /// [`MemorySystem::read_chain`] call. The working-set accessor `ws`
+    /// maps `(table, index)` to addresses.
     pub fn process(
         &self,
         core: usize,
@@ -204,7 +214,8 @@ impl ServicePipeline {
         mem: &mut MemorySystem,
         rng: &mut SimRng,
     ) -> ProcessOutcome {
-        let mut latency = self.base_ns;
+        let mut chain = [(0, 0); MAX_CHAIN];
+        let mut len = 0;
         let mut action = PacketAction::Forward;
         for (i, step) in self.steps.iter().enumerate() {
             if session_in_hw && step.table == tables.session {
@@ -213,17 +224,20 @@ impl ServicePipeline {
             // Per-flow, per-step deterministic entry index: the same flow
             // re-reads the same entries (that is what the cache can exploit).
             let idx = mix(flow_hash, step.salt);
-            let addr = tables.ws.entry_addr(step.table, idx);
-            latency += mem.read_entry(core, addr, self.entry_bytes[i]);
+            chain[len] = (tables.ws.entry_addr(step.table, idx), self.entry_bytes[i]);
+            len += 1;
             if let Some(m) = self.acl_drop_modulus {
                 // The ACL is evaluated where it sits in the chain; denial
-                // aborts the remaining lookups.
+                // aborts the remaining lookups. The decision depends only on
+                // the flow hash, so the chain is cut before anything is
+                // charged.
                 if step.table == tables.acl && flow_hash.is_multiple_of(m) {
                     action = PacketAction::Drop;
                     break;
                 }
             }
         }
+        let mut latency = self.base_ns + mem.read_chain(core, &chain[..len]);
         if let Some(model) = &self.extra_jitter {
             latency += model.sample(rng);
         }

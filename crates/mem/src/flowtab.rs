@@ -31,9 +31,10 @@
 //!   so externally-held references (expiry wheel entries) can never act on a
 //!   slot that was recycled under them.
 //! * **Batched inserts.** [`FlowTable::insert_burst`] splits work into two
-//!   passes: pass 1 computes every hash (pure, branch-free), pass 2 probes
-//!   the precomputed buckets back-to-back so the memory system can overlap
-//!   the misses. Results are defined to be *identical* to N scalar
+//!   passes: pass 1 computes every hash (pure, branch-free), pass 2 is a
+//!   plain sequential loop that inserts each item at its precomputed hash,
+//!   one probe after another; nothing in it is arranged for the host to
+//!   overlap misses. Results are defined to be *identical* to N scalar
 //!   [`FlowTable::insert`] calls in order — batch size is a performance
 //!   knob, never a semantics knob.
 //!
@@ -389,11 +390,11 @@ impl<K: Copy + Eq + Hash, V> FlowTable<K, V> {
     }
 
     /// Batched insert, two-pass: pass 1 hashes every key (pure, branch
-    /// free), pass 2 probes the precomputed buckets back-to-back so
-    /// consecutive misses overlap in the memory system. `out` is cleared
-    /// and filled with one outcome per item; results are identical to
-    /// calling [`FlowTable::insert`] per item in order (duplicates within
-    /// the batch resolve sequentially).
+    /// free), pass 2 is a sequential loop of `insert_hashed` calls, one per
+    /// item at its precomputed hash. `out` is cleared and filled with one
+    /// outcome per item; results are identical to calling
+    /// [`FlowTable::insert`] per item in order (duplicates within the batch
+    /// resolve sequentially).
     pub fn insert_burst(&mut self, items: &[(K, V)], out: &mut Vec<InsertOutcome>)
     where
         V: Copy,

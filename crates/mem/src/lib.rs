@@ -43,9 +43,10 @@ pub use tables::{TableId, WorkingSet};
 
 /// The assembled memory hierarchy one NUMA node's cores see.
 ///
-/// `access` is the single hot-path entry point: given the accessing core and
-/// a byte address, it consults the shared cache and returns the latency to
-/// charge, updating hit statistics.
+/// [`Self::read_chain`] is the hot-path entry point: given the accessing
+/// core and a packet's lookup chain, it charges every line through the
+/// shared cache and returns the latency, updating hit statistics.
+/// [`Self::access`] charges one line.
 #[derive(Debug)]
 pub struct MemorySystem {
     cache: SharedCache,
@@ -99,13 +100,29 @@ impl MemorySystem {
         }
     }
 
-    /// Charges a table-entry read: touches every cache line the entry spans
-    /// (capped at 8 lines — entries are "hundreds of bytes", §4.2).
-    pub fn read_entry(&mut self, core: usize, addr: u64, entry_bytes: u32) -> u64 {
-        let lines = entry_bytes.div_ceil(cache::LINE_BYTES as u32).clamp(1, 8);
+    /// Charges a lookup chain and returns its summed latency. Each
+    /// `(addr, entry_bytes)` step reads every cache line its entry spans
+    /// (capped at 8 lines — entries are "hundreds of bytes", §4.2); steps
+    /// are charged in order.
+    ///
+    /// Before the first charge, the chain reads the set record of every line
+    /// it will charge through [`SharedCache::touch`], so the host overlaps
+    /// its own misses on the cache model's table instead of taking them one
+    /// access at a time. Touching writes nothing, so every hit, miss, victim
+    /// and latency is the one charging the lines one by one would give.
+    pub fn read_chain(&mut self, core: usize, chain: &[(u64, u32)]) -> u64 {
+        let mut fold = 0;
+        for &(addr, entry_bytes) in chain {
+            for line in entry_lines(addr, entry_bytes) {
+                fold ^= self.cache.touch(line);
+            }
+        }
+        std::hint::black_box(fold);
         let mut total = 0;
-        for i in 0..lines {
-            total += self.access(core, addr + u64::from(i) * cache::LINE_BYTES as u64);
+        for &(addr, entry_bytes) in chain {
+            for line in entry_lines(addr, entry_bytes) {
+                total += self.access(core, line);
+            }
         }
         total
     }
@@ -119,6 +136,13 @@ impl MemorySystem {
     pub fn dram(&self) -> &DramModel {
         &self.dram
     }
+}
+
+/// Addresses of the cache lines an entry of `entry_bytes` at `addr` spans,
+/// at most 8.
+fn entry_lines(addr: u64, entry_bytes: u32) -> impl Iterator<Item = u64> {
+    let lines = entry_bytes.div_ceil(cache::LINE_BYTES as u32).clamp(1, 8);
+    (0..u64::from(lines)).map(move |i| addr + i * cache::LINE_BYTES as u64)
 }
 
 #[cfg(test)]
@@ -151,17 +175,41 @@ mod tests {
     fn entry_read_touches_spanning_lines() {
         let mut m = small_system();
         // 300-byte entry spans 5 lines; all miss initially.
-        let cost = m.read_entry(0, 0, 300);
+        let cost = m.read_chain(0, &[(0, 300)]);
         assert_eq!(cost, 5 * m.dram().miss_ns());
         // Second read: all hit.
-        let cost2 = m.read_entry(0, 0, 300);
+        let cost2 = m.read_chain(0, &[(0, 300)]);
         assert_eq!(cost2, 5 * m.dram().l3_hit_ns());
     }
 
     #[test]
     fn entry_line_count_is_capped() {
         let mut m = small_system();
-        let cost = m.read_entry(0, 0x10_0000, 10_000);
+        let cost = m.read_chain(0, &[(0x10_0000, 10_000)]);
         assert_eq!(cost, 8 * m.dram().miss_ns());
+    }
+
+    #[test]
+    fn chain_charges_equal_line_by_line_accesses() {
+        // 2 sets × 2 ways: the chain's lines fight over set 0, so a later
+        // step evicts an earlier one and order matters.
+        let cache = || SharedCache::new(2 * 2 * 64, 2);
+        let mut chained = MemorySystem::new(cache(), DramModel::new(4800));
+        let mut single = MemorySystem::new(cache(), DramModel::new(4800));
+        let chain = [(0, 64), (256, 130), (128, 64), (0, 64), (512, 1), (256, 64)];
+        for _ in 0..3 {
+            let want: u64 = chain
+                .iter()
+                .flat_map(|&(addr, bytes)| entry_lines(addr, bytes))
+                .map(|line| single.access(1, line))
+                .sum();
+            assert_eq!(chained.read_chain(1, &chain), want);
+        }
+        assert_eq!(chained.cache().total_hits(), single.cache().total_hits());
+        assert_eq!(
+            chained.cache().total_misses(),
+            single.cache().total_misses()
+        );
+        assert_eq!(chained.read_chain(0, &[]), 0);
     }
 }

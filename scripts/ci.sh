@@ -35,6 +35,16 @@ cargo build --release --offline --workspace --benches
 echo "==> cargo test (offline)"
 cargo test -q --offline --release --workspace
 
+echo "==> albatross-mem tests in a debug build (overflow checks on)"
+# Release builds wrap integer overflow silently; the L3 model's u32 stamp
+# clock and tag arithmetic must also pass with overflow checks enabled.
+cargo test -q --offline -p albatross-mem
+
+echo "==> L3 model vs its oracle under a second property seed"
+# cache_properties compares the record-per-set cache with the split-array
+# model it replaced; a fixed non-default seed widens the streams CI covers.
+TESTKIT_SEED=0x13A7 cargo test -q --offline -p albatross-mem --test cache_properties
+
 echo "==> perfbench self-test (offline)"
 # perfbench is its own Cargo workspace with path dependencies on crates/*,
 # so nothing above compiles it: an API change that breaks one of its layer

@@ -56,26 +56,10 @@ fn coupled_pods() -> ShardedPodSimulation {
     sim
 }
 
-/// Canonical fingerprint of one geometry's reports: counters, histogram
-/// tail, float bit patterns, per-core splits — any drift flips bytes.
+/// Canonical fingerprint of one geometry's reports: every field of every
+/// report ([`SimReport::canonical_dump`]), so any drift flips bytes.
 fn fingerprint(reports: &[SimReport]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for r in reports {
-        let _ = writeln!(
-            out,
-            "off={} proc={} tx={} ooo={} max={} secs={:#018x} hit={:#018x} cores={:?}",
-            r.offered,
-            r.processed,
-            r.transmitted,
-            r.out_of_order,
-            r.latency.max(),
-            r.measured_secs.to_bits(),
-            r.cache_hit_rate.to_bits(),
-            r.per_core_processed,
-        );
-    }
-    out
+    reports.iter().map(SimReport::canonical_dump).collect()
 }
 
 fn bench_shard_scaling() {

@@ -423,14 +423,7 @@ mod tests {
             let wide = build_fleet().run(&cfg);
             for (a, b) in serial.iter().zip(&wide) {
                 assert_eq!(a.name, b.name);
-                assert_eq!(a.report.offered, b.report.offered);
-                assert_eq!(a.report.processed, b.report.processed);
-                assert_eq!(a.report.transmitted, b.report.transmitted);
-                assert_eq!(a.report.latency.max(), b.report.latency.max());
-                assert_eq!(
-                    a.report.cache_hit_rate.to_bits(),
-                    b.report.cache_hit_rate.to_bits()
-                );
+                assert_eq!(a.report.canonical_dump(), b.report.canonical_dump());
             }
         }
         // The sharded scenario's report is a real multi-pod merge.

@@ -31,6 +31,7 @@
 //! reproducing the one-event-per-packet loop literally.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use albatross_core::engine::{
     Egress, EgressBuf, IngressDecision, LbMode, PlbEngine, PlbEngineConfig,
@@ -41,7 +42,7 @@ use albatross_fpga::basic::PayloadBuffer;
 use albatross_fpga::dma::DmaEngine;
 use albatross_fpga::pipeline::{Direction, NicPipelineLatency};
 use albatross_fpga::pkt::{DeliveryMode, NicPacket};
-use albatross_fpga::tier::{SessionTier, TierConfig, TierStats, TieredSessionEngine};
+use albatross_fpga::tier::{SessionTier, TierConfig, TieredSessionEngine};
 use albatross_gateway::flowstate::{FlowStateConfig, FlowStateEngine, FlowVerdict};
 use albatross_gateway::services::{PacketAction, ServiceKind, ServicePipeline};
 use albatross_gateway::worker::DataCore;
@@ -188,103 +189,203 @@ impl SimConfig {
     }
 }
 
-/// Everything measured during a run.
-#[derive(Debug, Clone)]
-pub struct SimReport {
-    /// Measured interval (after warm-up) in seconds.
-    pub measured_secs: f64,
-    /// Packets offered by the source (after warm-up).
-    pub offered: u64,
-    /// Packets fully processed by data cores.
-    pub processed: u64,
-    /// Packets transmitted (in order + best effort).
-    pub transmitted: u64,
-    /// In-order transmissions.
-    pub in_order: u64,
-    /// Out-of-order (best-effort) transmissions.
-    pub out_of_order: u64,
-    /// Dropped by the NIC rate limiter.
-    pub dropped_ratelimit: u64,
-    /// Dropped at ingress (reorder FIFO full).
-    pub dropped_ingress_full: u64,
-    /// Dropped at per-core RX queues.
-    pub dropped_rx_queue: u64,
-    /// Dropped by the ACL on the CPU.
-    pub dropped_acl: u64,
-    /// Reorder head timeouts (HOL events).
-    pub hol_timeouts: u64,
-    /// Reorder slots released via the drop flag.
-    pub drop_flag_releases: u64,
-    /// End-to-end (NIC in → NIC out) latency.
-    pub latency: LatencyHistogram,
-    /// Per-core utilization samples.
-    pub core_util: CoreUtilization,
-    /// Packets processed per core (after warm-up).
-    pub per_core_processed: Vec<u64>,
-    /// L3 hit rate over the whole run, warm-up included: the cache's
-    /// statistics are never reset at the end of the warm-up.
-    pub cache_hit_rate: f64,
-    /// Delivered packets per tenant over time (1 s windows).
-    pub tenant_delivered: HashMap<u32, RateMeter>,
-    /// End-to-end latency per tenant VNI — populated only when
-    /// [`SimConfig::track_tenant_latency`] is set (empty otherwise).
-    pub tenant_latency: HashMap<u32, LatencyHistogram>,
-    /// Bytes moved NIC→CPU over PCIe (whole run — the header-only savings
-    /// metric of appendix A).
-    pub pcie_rx_bytes: u64,
-    /// Bytes moved CPU→NIC over PCIe (whole run).
-    pub pcie_tx_bytes: u64,
-    /// Header-only packets whose payload was reaped before their late
-    /// return (headers dropped at the legal check).
-    pub headers_dropped: u64,
-    /// Payloads force-released by the timeout reaper.
-    pub payloads_reaped: u64,
-    /// Heavy hitters promoted into pre_check/pre_meter (after warm-up).
-    pub hh_promotions: u64,
-    /// Heavy hitters demoted (conforming-window expiry + explicit
-    /// uninstalls; after warm-up).
-    pub hh_demotions: u64,
-    /// Promotees evicted under pre_meter slot pressure (after warm-up).
-    pub hh_evictions: u64,
-    /// Promotions refused with every slot taken (after warm-up) — non-zero
-    /// only with eviction disabled: the limiter's degraded mode.
-    pub hh_promotion_refused: u64,
-    /// Occupied pre_meter slots sampled once per `sample_window` (whole
-    /// run; empty when no rate limiter is configured).
-    pub hh_slot_occupancy: TimeSeries,
-    /// Packets whose session state the FPGA tier served (after warm-up;
-    /// all `tier_*` counters are zero without
-    /// [`SimConfig::session_tiers`]).
-    pub tier_fpga_pkts: u64,
-    /// Packets the DPU tier served (after warm-up).
-    pub tier_dpu_pkts: u64,
-    /// Packets whose session write stayed on the CPU (after warm-up).
-    pub tier_cpu_pkts: u64,
-    /// CPU→hardware promotions (after warm-up).
-    pub tier_promotions: u64,
-    /// DPU→FPGA upgrades (after warm-up).
-    pub tier_upgrades: u64,
-    /// Hardware residents demoted back to the CPU (after warm-up).
-    pub tier_demotions: u64,
-    /// Hardware residents evicted under slot pressure (after warm-up).
-    pub tier_evictions: u64,
-    /// Hardware residents reclaimed by idle expiry (after warm-up).
-    pub tier_expired: u64,
-    /// Promotions deferred for lack of install-budget tokens (after
-    /// warm-up) — the XenoFlow insertion-rate bottleneck made visible.
-    pub tier_installs_deferred: u64,
-    /// Packets served by a hardware-resident flow-state entry (after
-    /// warm-up; all `flow_*` counters are zero without
-    /// [`SimConfig::flow_state`]).
-    pub flow_hits: u64,
-    /// New flows installed into the hardware flow table (after warm-up).
-    pub flow_installs: u64,
-    /// Packets pushed to the software slow path because the install
-    /// budget was dry or the table full (after warm-up) — the CPS
-    /// ceiling made visible.
-    pub flow_deferred: u64,
-    /// Flow-table entries reclaimed by idle expiry (after warm-up).
-    pub flow_expired: u64,
+/// Declares the report's integer counters once, each with its doc, then
+/// the report's other fields. Expands to [`SimCounters`] (`add`, `since`,
+/// `visit`), [`SimReport`] (the same counters as flat fields, then the
+/// other fields), `SimReport::counters`, and the private [`ReportParts`]
+/// that `SimReport::assemble` and `SimReport::into_parts` join and split.
+macro_rules! sim_report {
+    (
+        $(#[$report_meta:meta])*
+        counters { $( $(#[$counter_meta:meta])* $counter:ident, )* }
+        other { $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )* }
+    ) => {
+        /// Every integer counter of a [`SimReport`], in declaration order.
+        ///
+        /// The pod keeps running totals; a report holds the totals
+        /// [`since`](Self::since) the warm-up snapshot, and merged reports
+        /// [`add`](Self::add) them.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SimCounters {
+            $( $(#[$counter_meta])* pub $counter: u64, )*
+        }
+
+        impl SimCounters {
+            /// Adds `other` counter by counter.
+            pub fn add(&mut self, other: &SimCounters) {
+                $( self.$counter += other.$counter; )*
+            }
+
+            /// The counts accumulated from `base` to `self`, two snapshots
+            /// of the same running totals.
+            ///
+            /// # Panics
+            /// Panics, naming the counter, if a total is below its snapshot.
+            pub fn since(&self, base: &SimCounters) -> SimCounters {
+                SimCounters {
+                    $( $counter: self.$counter.checked_sub(base.$counter).expect(
+                        concat!("counter `", stringify!($counter), "` went backwards"),
+                    ), )*
+                }
+            }
+
+            /// Calls `f(name, value)` for every counter, in declaration order.
+            pub fn visit(&self, mut f: impl FnMut(&'static str, u64)) {
+                $( f(stringify!($counter), self.$counter); )*
+            }
+        }
+
+        $(#[$report_meta])*
+        #[derive(Debug, Clone)]
+        pub struct SimReport {
+            $( $(#[$counter_meta])* pub $counter: u64, )*
+            $( $(#[$field_meta])* pub $field: $ty, )*
+        }
+
+        /// A [`SimReport`]'s fields other than its counters.
+        struct ReportParts {
+            $( $field: $ty, )*
+        }
+
+        impl SimReport {
+            /// The report's counters.
+            pub fn counters(&self) -> SimCounters {
+                SimCounters { $( $counter: self.$counter, )* }
+            }
+
+            fn assemble(counters: SimCounters, parts: ReportParts) -> SimReport {
+                SimReport {
+                    $( $counter: counters.$counter, )*
+                    $( $field: parts.$field, )*
+                }
+            }
+
+            fn into_parts(self) -> (SimCounters, ReportParts) {
+                (self.counters(), ReportParts { $( $field: self.$field, )* })
+            }
+        }
+    };
+}
+
+sim_report! {
+    /// Everything measured during a run.
+    ///
+    /// Counters and histograms cover the measured interval, from the end of
+    /// the warm-up ([`SimConfig::warmup`]) to the horizon: the pod snapshots
+    /// every running total when the warm-up ends and reports the
+    /// difference. The series (`core_util`, `hh_slot_occupancy` and the
+    /// `tenant_delivered` meters) cover the whole run, every point with its
+    /// timestamp.
+    counters {
+        /// Packets offered by the source.
+        offered,
+        /// Packets fully processed by data cores.
+        processed,
+        /// Packets transmitted (in order + best effort).
+        transmitted,
+        /// In-order transmissions.
+        in_order,
+        /// Out-of-order (best-effort) transmissions.
+        out_of_order,
+        /// Dropped by the NIC rate limiter.
+        dropped_ratelimit,
+        /// Dropped at ingress (reorder FIFO full).
+        dropped_ingress_full,
+        /// Dropped at per-core RX queues.
+        dropped_rx_queue,
+        /// Dropped by the ACL on the CPU.
+        dropped_acl,
+        /// Reorder head timeouts (HOL events).
+        hol_timeouts,
+        /// Reorder slots released via the drop flag.
+        drop_flag_releases,
+        /// Shared-L3 hits of the service chains' table lookups.
+        cache_hits,
+        /// Shared-L3 misses of the service chains' table lookups.
+        cache_misses,
+        /// Bytes moved NIC→CPU over PCIe (the header-only savings metric of
+        /// appendix A).
+        pcie_rx_bytes,
+        /// Bytes moved CPU→NIC over PCIe.
+        pcie_tx_bytes,
+        /// Header-only packets whose payload was reaped before their late
+        /// return (headers dropped at the legal check).
+        headers_dropped,
+        /// Payloads force-released by the timeout reaper.
+        payloads_reaped,
+        /// Heavy hitters promoted into pre_check/pre_meter.
+        hh_promotions,
+        /// Heavy hitters demoted (conforming-window expiry + explicit
+        /// uninstalls).
+        hh_demotions,
+        /// Promotees evicted under pre_meter slot pressure.
+        hh_evictions,
+        /// Promotions refused with every slot taken — non-zero only with
+        /// eviction disabled: the limiter's degraded mode.
+        hh_promotion_refused,
+        /// Packets whose session state the FPGA tier served (all `tier_*`
+        /// counters are zero without [`SimConfig::session_tiers`]).
+        tier_fpga_pkts,
+        /// Packets the DPU tier served.
+        tier_dpu_pkts,
+        /// Packets whose session write stayed on the CPU.
+        tier_cpu_pkts,
+        /// CPU→hardware promotions.
+        tier_promotions,
+        /// DPU→FPGA upgrades.
+        tier_upgrades,
+        /// Hardware residents demoted back to the CPU.
+        tier_demotions,
+        /// Hardware residents evicted under slot pressure.
+        tier_evictions,
+        /// Hardware residents reclaimed by idle expiry.
+        tier_expired,
+        /// Promotions deferred for lack of install-budget tokens — the
+        /// XenoFlow insertion-rate bottleneck made visible.
+        tier_installs_deferred,
+        /// Packets served by a hardware-resident flow-state entry (all
+        /// `flow_*` counters are zero without [`SimConfig::flow_state`]).
+        flow_hits,
+        /// New flows installed into the hardware flow table.
+        flow_installs,
+        /// Packets pushed to the software slow path because the install
+        /// budget was dry or the table full — the CPS ceiling made visible.
+        flow_deferred,
+        /// Flow-table entries reclaimed by idle expiry.
+        flow_expired,
+    }
+    other {
+        /// Measured interval (after warm-up) in seconds.
+        measured_secs: f64,
+        /// L3 hit rate over the measured interval:
+        /// [`SimCounters::cache_hit_rate`] of the report's counters.
+        cache_hit_rate: f64,
+        /// End-to-end (NIC in → NIC out) latency.
+        latency: LatencyHistogram,
+        /// End-to-end latency per tenant VNI — populated only when
+        /// [`SimConfig::track_tenant_latency`] is set (empty otherwise).
+        tenant_latency: HashMap<u32, LatencyHistogram>,
+        /// Packets processed per core.
+        per_core_processed: Vec<u64>,
+        /// Per-core utilization samples (whole run).
+        core_util: CoreUtilization,
+        /// Occupied pre_meter slots sampled once per `sample_window` (whole
+        /// run; empty when no rate limiter is configured).
+        hh_slot_occupancy: TimeSeries,
+        /// Delivered packets per tenant, one count per
+        /// [`SimConfig::tenant_rate_window`] (whole run).
+        tenant_delivered: HashMap<u32, RateMeter>,
+    }
+}
+
+impl SimCounters {
+    /// Shared-L3 hits over accesses, or 0.0 with no access — the value of
+    /// [`SharedCache::hit_rate`], so an interval that starts at t = 0 reads
+    /// the cache's own rate bit for bit.
+    pub fn cache_hit_rate(&self) -> f64 {
+        let accesses = self.cache_hits + self.cache_misses;
+        self.cache_hits as f64 / accesses.max(1) as f64
+    }
 }
 
 impl SimReport {
@@ -294,134 +395,79 @@ impl SimReport {
     ///
     /// The merge is the fleet's determinism anchor (DESIGN.md §4d): every
     /// rule depends only on the *input order*, never on thread scheduling —
-    /// counters sum, histograms merge bucket-wise, per-core vectors
-    /// concatenate in order, time series interleave via the stable
-    /// [`TimeSeries::merge_ordered`] rule, tenant meters sum per-window
-    /// (integer counts, so grouping-independent), and the float
-    /// reductions (`cache_hit_rate` weighting) fold strictly left-to-right.
+    /// counters add, `measured_secs` takes the max, histograms merge
+    /// bucket-wise, per-core vectors concatenate in order, time series
+    /// interleave via the stable [`TimeSeries::merge_ordered`] rule, and
+    /// tenant maps merge per VNI in VNI order. `cache_hit_rate` is taken
+    /// from the summed counters: Σhits / Σaccesses.
     ///
     /// # Panics
     /// Panics on an empty slice.
     pub fn merge_ordered(reports: &[SimReport]) -> SimReport {
-        assert!(!reports.is_empty(), "nothing to merge");
-        let mut out = SimReport {
-            measured_secs: 0.0,
-            offered: 0,
-            processed: 0,
-            transmitted: 0,
-            in_order: 0,
-            out_of_order: 0,
-            dropped_ratelimit: 0,
-            dropped_ingress_full: 0,
-            dropped_rx_queue: 0,
-            dropped_acl: 0,
-            hol_timeouts: 0,
-            drop_flag_releases: 0,
-            latency: LatencyHistogram::new(),
-            core_util: CoreUtilization::new(reports[0].core_util.cores()),
-            per_core_processed: Vec::new(),
-            cache_hit_rate: 0.0,
-            tenant_delivered: HashMap::new(),
-            tenant_latency: HashMap::new(),
-            pcie_rx_bytes: 0,
-            pcie_tx_bytes: 0,
-            headers_dropped: 0,
-            payloads_reaped: 0,
-            hh_promotions: 0,
-            hh_demotions: 0,
-            hh_evictions: 0,
-            hh_promotion_refused: 0,
-            hh_slot_occupancy: TimeSeries::new(),
-            tier_fpga_pkts: 0,
-            tier_dpu_pkts: 0,
-            tier_cpu_pkts: 0,
-            tier_promotions: 0,
-            tier_upgrades: 0,
-            tier_demotions: 0,
-            tier_evictions: 0,
-            tier_expired: 0,
-            tier_installs_deferred: 0,
-            flow_hits: 0,
-            flow_installs: 0,
-            flow_deferred: 0,
-            flow_expired: 0,
-        };
-        // Seed core_util from the first report (CoreUtilization has no
-        // empty state), then absorb the rest.
-        out.core_util = reports[0].core_util.clone();
-        let mut hit_weight = 0.0f64;
-        for (i, r) in reports.iter().enumerate() {
+        let (first, rest) = reports.split_first().expect("nothing to merge");
+        let (mut counters, mut out) = first.clone().into_parts();
+        for r in rest {
+            counters.add(&r.counters());
             out.measured_secs = out.measured_secs.max(r.measured_secs);
-            out.offered += r.offered;
-            out.processed += r.processed;
-            out.transmitted += r.transmitted;
-            out.in_order += r.in_order;
-            out.out_of_order += r.out_of_order;
-            out.dropped_ratelimit += r.dropped_ratelimit;
-            out.dropped_ingress_full += r.dropped_ingress_full;
-            out.dropped_rx_queue += r.dropped_rx_queue;
-            out.dropped_acl += r.dropped_acl;
-            out.hol_timeouts += r.hol_timeouts;
-            out.drop_flag_releases += r.drop_flag_releases;
             out.latency.merge(&r.latency);
-            if i > 0 {
-                out.core_util.merge_pods(&r.core_util);
-            }
-            out.per_core_processed
-                .extend_from_slice(&r.per_core_processed);
-            // Processed-packet-weighted hit rate, folded left-to-right.
-            let w = r.processed as f64;
-            out.cache_hit_rate += r.cache_hit_rate * w;
-            hit_weight += w;
-            // HashMap iteration order is nondeterministic; per-VNI merges
-            // are integer sums (grouping-independent), but iterate sorted
-            // anyway so even float-sensitive future fields stay safe.
-            let mut vnis: Vec<_> = r.tenant_delivered.keys().copied().collect();
-            vnis.sort_unstable();
-            for vni in vnis {
-                let meter = &r.tenant_delivered[&vni];
-                out.tenant_delivered
-                    .entry(vni)
-                    .and_modify(|m| m.merge(meter))
-                    .or_insert_with(|| meter.clone());
-            }
-            // Per-VNI latency merges are bucket-count sums, so they are
-            // grouping-independent too; sorted iteration for the same
-            // belt-and-braces reason as the meters.
-            let mut vnis: Vec<_> = r.tenant_latency.keys().copied().collect();
-            vnis.sort_unstable();
-            for vni in vnis {
-                let hist = &r.tenant_latency[&vni];
-                out.tenant_latency
-                    .entry(vni)
-                    .and_modify(|h| h.merge(hist))
-                    .or_insert_with(|| hist.clone());
-            }
-            out.pcie_rx_bytes += r.pcie_rx_bytes;
-            out.pcie_tx_bytes += r.pcie_tx_bytes;
-            out.headers_dropped += r.headers_dropped;
-            out.payloads_reaped += r.payloads_reaped;
-            out.hh_promotions += r.hh_promotions;
-            out.hh_demotions += r.hh_demotions;
-            out.hh_evictions += r.hh_evictions;
-            out.hh_promotion_refused += r.hh_promotion_refused;
+            merge_by_vni(
+                &mut out.tenant_latency,
+                &r.tenant_latency,
+                LatencyHistogram::merge,
+            );
+            out.per_core_processed.extend(&r.per_core_processed);
+            out.core_util.merge_pods(&r.core_util);
             out.hh_slot_occupancy.merge_ordered(&r.hh_slot_occupancy);
-            out.tier_fpga_pkts += r.tier_fpga_pkts;
-            out.tier_dpu_pkts += r.tier_dpu_pkts;
-            out.tier_cpu_pkts += r.tier_cpu_pkts;
-            out.tier_promotions += r.tier_promotions;
-            out.tier_upgrades += r.tier_upgrades;
-            out.tier_demotions += r.tier_demotions;
-            out.tier_evictions += r.tier_evictions;
-            out.tier_expired += r.tier_expired;
-            out.tier_installs_deferred += r.tier_installs_deferred;
-            out.flow_hits += r.flow_hits;
-            out.flow_installs += r.flow_installs;
-            out.flow_deferred += r.flow_deferred;
-            out.flow_expired += r.flow_expired;
+            merge_by_vni(
+                &mut out.tenant_delivered,
+                &r.tenant_delivered,
+                RateMeter::merge,
+            );
         }
-        if hit_weight > 0.0 {
-            out.cache_hit_rate /= hit_weight;
+        out.cache_hit_rate = counters.cache_hit_rate();
+        SimReport::assemble(counters, out)
+    }
+
+    /// The whole report as text: one line per counter in declaration
+    /// order, floats as raw bits, every non-empty histogram bucket, the
+    /// per-core counts, every series point, and the tenant maps in VNI
+    /// order. Equal dumps mean equal reports (DESIGN.md §6).
+    pub fn canonical_dump(&self) -> String {
+        let (
+            counters,
+            ReportParts {
+                measured_secs,
+                cache_hit_rate,
+                latency,
+                tenant_latency,
+                per_core_processed,
+                core_util,
+                hh_slot_occupancy,
+                tenant_delivered,
+            },
+        ) = self.clone().into_parts();
+        let mut out = String::new();
+        let mut line = |name: &str, value: String| {
+            let _ = writeln!(out, "{name} {value}");
+        };
+        counters.visit(|name, value| line(name, value.to_string()));
+        line("measured_secs", bits(measured_secs));
+        line("cache_hit_rate", bits(cache_hit_rate));
+        line("latency", histogram(&latency));
+        for (vni, h) in by_vni(&tenant_latency) {
+            line(&format!("tenant_latency[{vni}]"), histogram(h));
+        }
+        line("per_core_processed", format!("{per_core_processed:?}"));
+        for core in 0..core_util.cores() {
+            let points = series(core_util.core(core).points());
+            line(&format!("core_util[{core}]"), points);
+        }
+        let dispersion = series(core_util.dispersion().points());
+        line("core_util_dispersion", dispersion);
+        line("hh_slot_occupancy", series(hh_slot_occupancy.points()));
+        for (vni, meter) in by_vni(&tenant_delivered) {
+            let value = format!("total={} {}", meter.total(), series(&meter.series()));
+            line(&format!("tenant_delivered[{vni}]"), value);
         }
         out
     }
@@ -467,6 +513,54 @@ impl SimReport {
             self.flow_hits as f64 / total as f64
         }
     }
+}
+
+/// The entries of a per-tenant map in VNI order (`HashMap` iteration
+/// order differs between runs).
+fn by_vni<T>(map: &HashMap<u32, T>) -> Vec<(u32, &T)> {
+    let mut entries: Vec<(u32, &T)> = map.iter().map(|(&vni, v)| (vni, v)).collect();
+    entries.sort_unstable_by_key(|&(vni, _)| vni);
+    entries
+}
+
+/// Merges `from`'s per-tenant entries into `into`, in VNI order.
+fn merge_by_vni<T: Clone>(
+    into: &mut HashMap<u32, T>,
+    from: &HashMap<u32, T>,
+    merge: fn(&mut T, &T),
+) {
+    for (vni, theirs) in by_vni(from) {
+        into.entry(vni)
+            .and_modify(|ours| merge(ours, theirs))
+            .or_insert_with(|| theirs.clone());
+    }
+}
+
+/// A float as its exact bit pattern.
+fn bits(v: f64) -> String {
+    format!("f64:{:#018x}", v.to_bits())
+}
+
+/// Series points as space-separated `time:bits` pairs.
+fn series(points: &[(u64, f64)]) -> String {
+    let points: Vec<String> = points
+        .iter()
+        .map(|&(t, v)| format!("{t}:{}", bits(v)))
+        .collect();
+    points.join(" ")
+}
+
+/// A histogram's summary, then every non-empty bucket as `low:count`.
+fn histogram(h: &LatencyHistogram) -> String {
+    let (count, min, max, mean) = (h.count(), h.min(), h.max(), bits(h.mean()));
+    let buckets: Vec<String> = h
+        .nonempty_buckets()
+        .map(|(lo, n)| format!("{lo}:{n}"))
+        .collect();
+    format!(
+        "count={count} min={min} max={max} mean={mean} buckets={}",
+        buckets.join(" ")
+    )
 }
 
 enum Ev {
@@ -541,30 +635,7 @@ pub struct PodSimulation {
     util_buf: Vec<f64>,
     // warm-up snapshots
     warm_processed_base: Vec<u64>,
-    warm_counters: WarmBase,
-}
-
-#[derive(Debug, Default, Clone)]
-struct WarmBase {
-    offered: u64,
-    dropped_ratelimit: u64,
-    dropped_acl: u64,
-    transmitted: u64,
-    in_order: u64,
-    out_of_order: u64,
-    hol: u64,
-    drop_flag: u64,
-    ingress_full: u64,
-    rx_drops: u64,
-    hh_promotions: u64,
-    hh_demotions: u64,
-    hh_evictions: u64,
-    hh_promotion_refused: u64,
-    tiers: TierStats,
-    flow_hits: u64,
-    flow_installs: u64,
-    flow_deferred: u64,
-    flow_expired: u64,
+    warm_totals: SimCounters,
 }
 
 impl PodSimulation {
@@ -631,7 +702,7 @@ impl PodSimulation {
             timeout_buf: Vec::with_capacity(cfg.burst.burst_size.max(1)),
             util_buf: Vec::with_capacity(cfg.data_cores),
             warm_processed_base: vec![0; cfg.data_cores],
-            warm_counters: WarmBase::default(),
+            warm_totals: SimCounters::default(),
             cfg,
         }
     }
@@ -790,10 +861,31 @@ impl PodSimulation {
         }
     }
 
-    /// Final reorder drain at the horizon and report construction.
+    /// Final reorder drain at the horizon, then the report of the measured
+    /// interval.
     fn finish(mut self, duration: SimTime) -> SimReport {
         self.poll_and_record(duration);
-        self.build_report(duration)
+        let measured_ns = duration.saturating_since(self.cfg.warmup.min(duration));
+        let counters = self.totals().since(&self.warm_totals);
+        let per_core_processed = self
+            .cores
+            .iter()
+            .zip(&self.warm_processed_base)
+            .map(|(c, base)| c.processed() - base)
+            .collect();
+        SimReport::assemble(
+            counters,
+            ReportParts {
+                measured_secs: measured_ns as f64 / 1e9,
+                cache_hit_rate: counters.cache_hit_rate(),
+                latency: self.latency,
+                tenant_latency: self.tenant_latency,
+                per_core_processed,
+                core_util: self.core_util,
+                hh_slot_occupancy: self.hh_slot_occupancy,
+                tenant_delivered: self.tenant_delivered,
+            },
+        )
     }
 
     fn on_arrival(&mut self, desc: PacketDesc, now: SimTime) {
@@ -1014,124 +1106,60 @@ impl PodSimulation {
         }
     }
 
-    fn warm_reset(&mut self) {
-        // Snapshot engine-side counters; reset local instruments.
-        self.warm_counters = WarmBase {
+    /// Every counter's running total: the one place that says where each
+    /// [`SimReport`] counter comes from.
+    fn totals(&self) -> SimCounters {
+        let limiter = self.limiter.as_ref();
+        let tiers = self.tiers.as_ref().map(|t| t.stats()).unwrap_or_default();
+        let flow_state = self.flow_state.as_ref();
+        let queues = self.lb.queue_stats();
+        let cache = self.mem.cache();
+        SimCounters {
             offered: self.offered,
-            dropped_ratelimit: self.dropped_ratelimit,
-            dropped_acl: self.dropped_acl,
+            processed: self.cores.iter().map(DataCore::processed).sum(),
             transmitted: self.transmitted,
             in_order: self.in_order,
             out_of_order: self.out_of_order,
-            hol: self.lb.total_hol_timeouts(),
-            drop_flag: self
-                .lb
-                .queue_stats()
-                .iter()
-                .map(|s| s.drop_flag_releases)
-                .sum(),
-            ingress_full: self.lb.total_ingress_drops(),
-            rx_drops: self.cores.iter().map(DataCore::rx_drops).sum(),
-            hh_promotions: self.limiter.as_ref().map_or(0, |l| l.promotions()),
-            hh_demotions: self.limiter.as_ref().map_or(0, |l| l.demotions()),
-            hh_evictions: self.limiter.as_ref().map_or(0, |l| l.evictions()),
-            hh_promotion_refused: self.limiter.as_ref().map_or(0, |l| l.promotion_refused()),
-            tiers: self.tiers.as_ref().map(|t| t.stats()).unwrap_or_default(),
-            flow_hits: self.flow_state.as_ref().map_or(0, FlowStateEngine::hits),
-            flow_installs: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::installs),
-            flow_deferred: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::deferred),
-            flow_expired: self.flow_state.as_ref().map_or(0, FlowStateEngine::expired),
-        };
-        self.warm_processed_base = self.cores.iter().map(DataCore::processed).collect();
-        self.latency.reset();
-        // The cache keeps its contents (warm contents are the point) and its
-        // statistics: `cache_hit_rate` covers the whole run, warm-up
-        // included.
-    }
-
-    fn build_report(mut self, duration: SimTime) -> SimReport {
-        let measured_ns = duration.saturating_since(self.cfg.warmup.min(duration));
-        let per_core_processed: Vec<u64> = self
-            .cores
-            .iter()
-            .zip(&self.warm_processed_base)
-            .map(|(c, base)| c.processed() - base)
-            .collect();
-        let w = self.warm_counters.clone();
-        let ts = self.tiers.as_ref().map(|t| t.stats()).unwrap_or_default();
-        let drop_flag_total: u64 = self
-            .lb
-            .queue_stats()
-            .iter()
-            .map(|s| s.drop_flag_releases)
-            .sum();
-        let rx_drops: u64 = self.cores.iter().map(DataCore::rx_drops).sum();
-        SimReport {
-            measured_secs: measured_ns as f64 / 1e9,
-            offered: self.offered - w.offered,
-            processed: per_core_processed.iter().sum(),
-            transmitted: self.transmitted - w.transmitted,
-            in_order: self.in_order - w.in_order,
-            out_of_order: self.out_of_order - w.out_of_order,
-            dropped_ratelimit: self.dropped_ratelimit - w.dropped_ratelimit,
-            dropped_ingress_full: self.lb.total_ingress_drops() - w.ingress_full,
-            dropped_rx_queue: rx_drops - w.rx_drops,
-            dropped_acl: self.dropped_acl - w.dropped_acl,
-            hol_timeouts: self.lb.total_hol_timeouts() - w.hol,
-            drop_flag_releases: drop_flag_total - w.drop_flag,
-            latency: std::mem::take(&mut self.latency),
-            core_util: self.core_util,
-            per_core_processed,
-            cache_hit_rate: self.mem.cache().hit_rate(),
-            tenant_delivered: self.tenant_delivered,
-            tenant_latency: self.tenant_latency,
+            dropped_ratelimit: self.dropped_ratelimit,
+            dropped_ingress_full: self.lb.total_ingress_drops(),
+            dropped_rx_queue: self.cores.iter().map(DataCore::rx_drops).sum(),
+            dropped_acl: self.dropped_acl,
+            hol_timeouts: self.lb.total_hol_timeouts(),
+            drop_flag_releases: queues.iter().map(|q| q.drop_flag_releases).sum(),
+            cache_hits: cache.total_hits(),
+            cache_misses: cache.total_misses(),
             pcie_rx_bytes: self.dma.bytes_rx(),
             pcie_tx_bytes: self.dma.bytes_tx(),
-            headers_dropped: self
-                .lb
-                .queue_stats()
-                .iter()
-                .map(|s| s.headers_dropped)
-                .sum(),
+            headers_dropped: queues.iter().map(|q| q.headers_dropped).sum(),
             payloads_reaped: self.payload_buffer.released_by_reaper(),
-            hh_promotions: self.limiter.as_ref().map_or(0, |l| l.promotions()) - w.hh_promotions,
-            hh_demotions: self.limiter.as_ref().map_or(0, |l| l.demotions()) - w.hh_demotions,
-            hh_evictions: self.limiter.as_ref().map_or(0, |l| l.evictions()) - w.hh_evictions,
-            hh_promotion_refused: self.limiter.as_ref().map_or(0, |l| l.promotion_refused())
-                - w.hh_promotion_refused,
-            hh_slot_occupancy: self.hh_slot_occupancy,
-            tier_fpga_pkts: ts.fpga_pkts - w.tiers.fpga_pkts,
-            tier_dpu_pkts: ts.dpu_pkts - w.tiers.dpu_pkts,
-            tier_cpu_pkts: ts.cpu_pkts - w.tiers.cpu_pkts,
-            tier_promotions: ts.promotions - w.tiers.promotions,
-            tier_upgrades: ts.upgrades - w.tiers.upgrades,
-            tier_demotions: (ts.fpga_demotions + ts.dpu_demotions)
-                - (w.tiers.fpga_demotions + w.tiers.dpu_demotions),
-            tier_evictions: (ts.fpga_evictions + ts.dpu_evictions)
-                - (w.tiers.fpga_evictions + w.tiers.dpu_evictions),
-            tier_expired: (ts.fpga_expired + ts.dpu_expired)
-                - (w.tiers.fpga_expired + w.tiers.dpu_expired),
-            tier_installs_deferred: ts.installs_deferred() - w.tiers.installs_deferred(),
-            flow_hits: self.flow_state.as_ref().map_or(0, FlowStateEngine::hits) - w.flow_hits,
-            flow_installs: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::installs)
-                - w.flow_installs,
-            flow_deferred: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::deferred)
-                - w.flow_deferred,
-            flow_expired: self.flow_state.as_ref().map_or(0, FlowStateEngine::expired)
-                - w.flow_expired,
+            hh_promotions: limiter.map_or(0, TwoStageRateLimiter::promotions),
+            hh_demotions: limiter.map_or(0, TwoStageRateLimiter::demotions),
+            hh_evictions: limiter.map_or(0, TwoStageRateLimiter::evictions),
+            hh_promotion_refused: limiter.map_or(0, TwoStageRateLimiter::promotion_refused),
+            tier_fpga_pkts: tiers.fpga_pkts,
+            tier_dpu_pkts: tiers.dpu_pkts,
+            tier_cpu_pkts: tiers.cpu_pkts,
+            tier_promotions: tiers.promotions,
+            tier_upgrades: tiers.upgrades,
+            tier_demotions: tiers.fpga_demotions + tiers.dpu_demotions,
+            tier_evictions: tiers.fpga_evictions + tiers.dpu_evictions,
+            tier_expired: tiers.fpga_expired + tiers.dpu_expired,
+            tier_installs_deferred: tiers.installs_deferred(),
+            flow_hits: flow_state.map_or(0, FlowStateEngine::hits),
+            flow_installs: flow_state.map_or(0, FlowStateEngine::installs),
+            flow_deferred: flow_state.map_or(0, FlowStateEngine::deferred),
+            flow_expired: flow_state.map_or(0, FlowStateEngine::expired),
         }
+    }
+
+    /// Ends the warm-up: counters restart from a snapshot of every total
+    /// and the histograms start empty. The cache keeps its contents (warm
+    /// contents are the point).
+    fn warm_reset(&mut self) {
+        self.warm_totals = self.totals();
+        self.warm_processed_base = self.cores.iter().map(DataCore::processed).collect();
+        self.latency.reset();
+        self.tenant_latency.clear();
     }
 }
 
@@ -1285,11 +1313,21 @@ mod tests {
         cfg
     }
 
-    fn run_simple(mode: LbMode, pps: u64) -> SimReport {
+    /// 100 flows of tenant 7 at `pps`, `bytes` each, for 50 ms, run to
+    /// 60 ms.
+    fn run_sized(cfg: SimConfig, pps: u64, bytes: u32) -> SimReport {
         let flows = FlowSet::generate(100, Some(7), 3);
         let mut src =
-            ConstantRateSource::new(flows, pps, 256, SimTime::ZERO, SimTime::from_millis(50));
-        PodSimulation::new(small_cfg(mode, 4)).run(&mut src, SimTime::from_millis(60))
+            ConstantRateSource::new(flows, pps, bytes, SimTime::ZERO, SimTime::from_millis(50));
+        PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(60))
+    }
+
+    fn run_cfg(cfg: SimConfig, pps: u64) -> SimReport {
+        run_sized(cfg, pps, 256)
+    }
+
+    fn run_simple(mode: LbMode, pps: u64) -> SimReport {
+        run_cfg(small_cfg(mode, 4), pps)
     }
 
     #[test]
@@ -1350,10 +1388,7 @@ mod tests {
         let mut cfg = small_cfg(LbMode::Plb, 2);
         cfg.acl_drop_modulus = Some(4);
         cfg.use_drop_flag = true;
-        let flows = FlowSet::generate(64, Some(7), 5);
-        let mut src =
-            ConstantRateSource::new(flows, 100_000, 256, SimTime::ZERO, SimTime::from_millis(20));
-        let r = PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(30));
+        let r = run_cfg(cfg, 100_000);
         assert!(r.dropped_acl > 0);
         assert!(r.drop_flag_releases > 0);
         assert_eq!(r.hol_timeouts, 0, "drop flag prevents HOL");
@@ -1365,17 +1400,15 @@ mod tests {
         let mut cfg = small_cfg(LbMode::Plb, 2);
         cfg.acl_drop_modulus = Some(4);
         cfg.use_drop_flag = false;
-        let flows = FlowSet::generate(64, Some(7), 5);
-        let mut src =
-            ConstantRateSource::new(flows, 100_000, 256, SimTime::ZERO, SimTime::from_millis(20));
-        let r = PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(30));
+        let r = run_cfg(cfg, 100_000);
         assert!(r.dropped_acl > 0);
         assert!(r.hol_timeouts > 0, "silent drops must strand FIFO heads");
     }
 
-    #[test]
-    fn rate_limiter_caps_a_flooding_tenant() {
-        let mut cfg = small_cfg(LbMode::Plb, 4);
+    /// A pod whose limiter allows tenant 9 50 kpps, and tenant 9 flooding
+    /// it at 500 kpps (10× the allowance) for `millis`.
+    fn flooded(cores: usize, millis: u64) -> (PodSimulation, ConstantRateSource) {
+        let mut cfg = small_cfg(LbMode::Plb, cores);
         cfg.rate_limiter = Some(RateLimiterConfig {
             stage1_pps: 40_000.0,
             stage2_pps: 10_000.0,
@@ -1383,14 +1416,15 @@ mod tests {
             ..RateLimiterConfig::production()
         });
         let flows = FlowSet::generate(10, Some(9), 6);
-        let mut src = ConstantRateSource::new(
-            flows,
-            500_000, // 10× the 50k allowance
-            256,
-            SimTime::ZERO,
-            SimTime::from_millis(100),
-        );
-        let r = PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(110));
+        let end = SimTime::from_millis(millis);
+        let src = ConstantRateSource::new(flows, 500_000, 256, SimTime::ZERO, end);
+        (PodSimulation::new(cfg), src)
+    }
+
+    #[test]
+    fn rate_limiter_caps_a_flooding_tenant() {
+        let (sim, mut src) = flooded(4, 100);
+        let r = sim.run(&mut src, SimTime::from_millis(110));
         assert!(r.dropped_ratelimit > 0);
         let delivered_rate = r.transmitted as f64 / 0.1;
         assert!(
@@ -1401,14 +1435,7 @@ mod tests {
 
     #[test]
     fn heavy_hitter_lifecycle_counters_reach_the_report() {
-        let mut cfg = small_cfg(LbMode::Plb, 2);
-        cfg.rate_limiter = Some(RateLimiterConfig {
-            stage1_pps: 40_000.0,
-            stage2_pps: 10_000.0,
-            tenant_limit_pps: 50_000.0,
-            ..RateLimiterConfig::production()
-        });
-        let mut sim = PodSimulation::new(cfg);
+        let (mut sim, mut src) = flooded(2, 50);
         // Pod-layer control surface: install, then CPU-assisted uninstall.
         assert!(sim
             .limiter_mut()
@@ -1417,9 +1444,6 @@ mod tests {
         assert!(sim.uninstall_heavy_hitter(9));
         assert!(!sim.uninstall_heavy_hitter(9), "already demoted");
         // The tenant floods anyway and gets re-promoted by sampling.
-        let flows = FlowSet::generate(10, Some(9), 6);
-        let mut src =
-            ConstantRateSource::new(flows, 500_000, 256, SimTime::ZERO, SimTime::from_millis(50));
         let r = sim.run(&mut src, SimTime::from_millis(60));
         assert!(r.hh_promotions >= 2, "promotions {}", r.hh_promotions);
         assert_eq!(r.hh_demotions, 1);
@@ -1428,17 +1452,56 @@ mod tests {
         assert!(r.hh_slot_occupancy.max() >= 1.0, "promotee must be sampled");
     }
 
+    /// A 2-core pod at 100 kpps whose statistics restart at `warmup_ms`.
+    fn run_warm(warmup_ms: u64) -> SimReport {
+        let mut cfg = small_cfg(LbMode::Plb, 2);
+        cfg.warmup = SimTime::from_millis(warmup_ms);
+        cfg.track_tenant_latency = true;
+        run_cfg(cfg, 100_000)
+    }
+
     #[test]
     fn warmup_excludes_cold_cache_interval() {
-        let mut cfg = small_cfg(LbMode::Plb, 2);
-        cfg.warmup = SimTime::from_millis(25);
-        let flows = FlowSet::generate(100, Some(7), 3);
-        let mut src =
-            ConstantRateSource::new(flows, 100_000, 256, SimTime::ZERO, SimTime::from_millis(50));
-        let r = PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(50));
+        let (warm, cold) = (run_warm(25), run_warm(0));
         // Only the second half is counted.
-        assert!(r.offered <= 2_600, "offered={}", r.offered);
-        assert!(r.offered >= 2_400);
+        assert!(warm.offered <= 2_600, "offered={}", warm.offered);
+        assert!(warm.offered >= 2_400);
+        // The compulsory misses and their PCIe traffic fall in the warm-up.
+        assert!(warm.cache_hit_rate > cold.cache_hit_rate);
+        assert!(warm.pcie_rx_bytes < cold.pcie_rx_bytes);
+    }
+
+    #[test]
+    fn tenant_latency_covers_the_measured_interval() {
+        let r = run_warm(25);
+        assert_eq!(r.tenant_latency[&7].count(), r.latency.count());
+    }
+
+    #[test]
+    fn merged_counters_are_sums_and_the_hit_rate_pools_accesses() {
+        // VPC-Internet charges more lookups per packet than VPC-VPC, so the
+        // pooled rate is not a processed-weighted mean of the two rates.
+        let a = run_simple(LbMode::Plb, 100_000);
+        let mut cfg = small_cfg(LbMode::Plb, 4);
+        cfg.service = ServiceKind::VpcInternet;
+        let b = run_cfg(cfg, 300_000);
+        let merged = SimReport::merge_ordered(&[a.clone(), b.clone()]);
+        let mut sum = a.counters();
+        sum.add(&b.counters());
+        assert_eq!(merged.counters(), sum);
+        let hits = a.cache_hits + b.cache_hits;
+        let accesses = hits + a.cache_misses + b.cache_misses;
+        assert_eq!(merged.cache_hit_rate, hits as f64 / accesses as f64);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter `cache_misses` went backwards")]
+    fn since_names_a_counter_that_went_backwards() {
+        let base = SimCounters {
+            cache_misses: 1,
+            ..SimCounters::default()
+        };
+        SimCounters::default().since(&base);
     }
 
     #[test]
@@ -1450,20 +1513,10 @@ mod tests {
 
     #[test]
     fn header_only_mode_saves_pcie_bytes_losslessly() {
-        use albatross_fpga::pkt::DeliveryMode;
-        let jumbo = 8_542u32;
         let run = |delivery| {
             let mut cfg = small_cfg(LbMode::Plb, 4);
             cfg.delivery = delivery;
-            let flows = FlowSet::generate(100, Some(7), 3);
-            let mut src = ConstantRateSource::new(
-                flows,
-                100_000,
-                jumbo,
-                SimTime::ZERO,
-                SimTime::from_millis(40),
-            );
-            PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(50))
+            run_sized(cfg, 100_000, 8_542)
         };
         let full = run(DeliveryMode::FullPacket);
         let split = run(DeliveryMode::HeaderOnly);
@@ -1481,21 +1534,12 @@ mod tests {
 
     #[test]
     fn header_only_timeout_reaps_payload_and_drops_late_header() {
-        use albatross_fpga::pkt::DeliveryMode;
         let mut cfg = small_cfg(LbMode::Plb, 2);
         cfg.delivery = DeliveryMode::HeaderOnly;
         // Stack latency far past the 100 µs reorder timeout: every packet
         // times out, its payload is reaped, and its late header dropped.
-        cfg.extra_jitter = Some(albatross_sim::LatencyModel::Fixed(300_000));
-        let flows = FlowSet::generate(16, Some(7), 4);
-        let mut src = ConstantRateSource::new(
-            flows,
-            50_000,
-            4_000,
-            SimTime::ZERO,
-            SimTime::from_millis(10),
-        );
-        let r = PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(20));
+        cfg.extra_jitter = Some(LatencyModel::Fixed(300_000));
+        let r = run_sized(cfg, 50_000, 4_000);
         assert!(r.hol_timeouts > 0);
         assert!(r.payloads_reaped > 0, "timeouts must reap payloads");
         assert!(r.headers_dropped > 0, "late headers must be dropped");
@@ -1506,45 +1550,39 @@ mod tests {
     fn determinism_same_seed_same_report() {
         let a = run_simple(LbMode::Plb, 200_000);
         let b = run_simple(LbMode::Plb, 200_000);
-        assert_eq!(a.processed, b.processed);
-        assert_eq!(a.latency.max(), b.latency.max());
-        assert_eq!(a.in_order, b.in_order);
+        assert_eq!(a.canonical_dump(), b.canonical_dump());
     }
 
-    /// Canonical byte-level fingerprint of a report: every counter, every
-    /// histogram bucket, and the float fields as exact bit patterns.
-    fn fingerprint(r: &SimReport) -> String {
-        let mut vnis: Vec<_> = r.tenant_delivered.keys().copied().collect();
-        vnis.sort_unstable();
-        let tenants: Vec<String> = vnis
-            .iter()
-            .map(|v| format!("{v}:{}", r.tenant_delivered[v].total()))
+    /// Runs `pods` pods alone, then together over each `(shards, threads)`
+    /// geometry, which must reproduce every lone run's dump. Returns the
+    /// lone runs' reports.
+    fn assert_geometry_invariant(
+        pod: impl Fn(u64) -> (SimConfig, ConstantRateSource),
+        pods: u64,
+        geometries: &[(usize, usize)],
+    ) -> Vec<SimReport> {
+        let duration = SimTime::from_millis(10);
+        let reference: Vec<SimReport> = (0..pods)
+            .map(|s| {
+                let (cfg, mut src) = pod(s);
+                PodSimulation::new(cfg).run(&mut src, duration)
+            })
             .collect();
-        format!(
-            "{:016x}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|t{}:{}:{}:{}:{}:{}:{}:{}:{}",
-            r.measured_secs.to_bits(),
-            r.offered,
-            r.processed,
-            r.transmitted,
-            r.in_order,
-            r.out_of_order,
-            r.dropped_rx_queue,
-            r.dropped_ingress_full,
-            r.hol_timeouts,
-            r.latency.max(),
-            r.cache_hit_rate.to_bits(),
-            r.per_core_processed,
-            tenants.join(","),
-            r.tier_fpga_pkts,
-            r.tier_dpu_pkts,
-            r.tier_cpu_pkts,
-            r.tier_promotions,
-            r.tier_upgrades,
-            r.tier_demotions,
-            r.tier_evictions,
-            r.tier_expired,
-            r.tier_installs_deferred
-        )
+        let dumps: Vec<String> = reference.iter().map(SimReport::canonical_dump).collect();
+        for &(shards, threads) in geometries {
+            let mut sharded = ShardedPodSimulation::new();
+            for s in 0..pods {
+                let (cfg, src) = pod(s);
+                sharded.push(cfg, Box::new(src), duration);
+            }
+            let got: Vec<String> = sharded
+                .run(shards, threads)
+                .iter()
+                .map(SimReport::canonical_dump)
+                .collect();
+            assert_eq!(got, dumps, "shards={shards} threads={threads}");
+        }
+        reference
     }
 
     #[test]
@@ -1553,33 +1591,13 @@ mod tests {
             let mut cfg = small_cfg(LbMode::Plb, 2);
             cfg.seed = seed;
             let flows = FlowSet::generate(50, Some(seed as u32), seed ^ 0x5a5a);
-            let src = ConstantRateSource::new(
-                flows,
-                150_000,
-                256,
-                SimTime::ZERO,
-                SimTime::from_millis(8),
-            );
-            (cfg, src)
+            let end = SimTime::from_millis(8);
+            (
+                cfg,
+                ConstantRateSource::new(flows, 150_000, 256, SimTime::ZERO, end),
+            )
         };
-        // Reference: each pod run alone through the classic loop.
-        let duration = SimTime::from_millis(10);
-        let reference: Vec<String> = (0..5u64)
-            .map(|s| {
-                let (cfg, mut src) = pod(s);
-                fingerprint(&PodSimulation::new(cfg).run(&mut src, duration))
-            })
-            .collect();
-        for (shards, threads) in [(1, 1), (3, 1), (5, 2), (5, 5), (8, 4)] {
-            let mut sharded = ShardedPodSimulation::new();
-            for s in 0..5u64 {
-                let (cfg, src) = pod(s);
-                sharded.push(cfg, Box::new(src), duration);
-            }
-            let reports = sharded.run(shards, threads);
-            let got: Vec<String> = reports.iter().map(fingerprint).collect();
-            assert_eq!(got, reference, "shards={shards} threads={threads}");
-        }
+        assert_geometry_invariant(pod, 5, &[(1, 1), (3, 1), (5, 2), (5, 5), (8, 4)]);
     }
 
     fn tiered_cfg(seed: u64) -> SimConfig {
@@ -1634,35 +1652,14 @@ mod tests {
     fn tiered_pods_are_byte_identical_across_shard_geometries() {
         let pod = |seed: u64| {
             let flows = FlowSet::generate(60, Some(seed as u32), seed ^ 0x33);
-            let src = ConstantRateSource::new(
-                flows,
-                180_000,
-                256,
-                SimTime::ZERO,
-                SimTime::from_millis(8),
-            );
+            let end = SimTime::from_millis(8);
+            let src = ConstantRateSource::new(flows, 180_000, 256, SimTime::ZERO, end);
             (tiered_cfg(seed), src)
         };
-        let duration = SimTime::from_millis(10);
-        let reference: Vec<String> = (0..4u64)
-            .map(|s| {
-                let (cfg, mut src) = pod(s);
-                fingerprint(&PodSimulation::new(cfg).run(&mut src, duration))
-            })
-            .collect();
+        let reference = assert_geometry_invariant(pod, 4, &[(1, 1), (2, 2), (4, 4)]);
         assert!(
-            reference.iter().any(|f| !f.contains("|t0:0:0:")),
+            reference.iter().any(|r| r.tier_promotions > 0),
             "tier counters must be live in the reference runs"
         );
-        for (shards, threads) in [(1, 1), (2, 2), (4, 4)] {
-            let mut sharded = ShardedPodSimulation::new();
-            for s in 0..4u64 {
-                let (cfg, src) = pod(s);
-                sharded.push(cfg, Box::new(src), duration);
-            }
-            let reports = sharded.run(shards, threads);
-            let got: Vec<String> = reports.iter().map(fingerprint).collect();
-            assert_eq!(got, reference, "shards={shards} threads={threads}");
-        }
     }
 }

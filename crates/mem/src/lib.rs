@@ -22,7 +22,7 @@
 //! * [`MemorySystem`] — the facade the CPU-core model charges every table
 //!   access through.
 //! * [`flowtab::FlowTable`] / [`flowtab::ExpiryWheel`] — the CPS-grade flow
-//!   table the stateful consumers (`gateway::nat`, `gateway::session`,
+//!   table the stateful consumers (`gateway::flowstate`, `gateway::session`,
 //!   `fpga::offload`) keep their real entries in: cache-line-bucketed open
 //!   addressing with batched probes and amortized `O(expired)` expiry.
 

@@ -12,8 +12,6 @@
 //! * four tenants at 4/3/2/1 Mpps with tenant 1 stepping to 34 Mpps at
 //!   t=15 s (Fig. 13/14) — [`traffic::RampSource`] per tenant, merged with
 //!   [`traffic::MergedSource`];
-//! * Zipf-skewed tenant populations for rate-limiter stress
-//!   ([`tenant::TenantSet`]);
 //! * rotating-overload tenant churn — M tenants each dominant for a few
 //!   detection windows, then idle — for heavy-hitter lifecycle stress
 //!   ([`churn::RotatingOverloadSource`]);
@@ -35,17 +33,14 @@
 pub mod burst;
 pub mod churn;
 pub mod flowgen;
-pub mod pktsize;
 pub mod shortflow;
 pub mod steer;
-pub mod tenant;
 pub mod traffic;
 
 pub use churn::RotatingOverloadSource;
 pub use flowgen::FlowSet;
 pub use shortflow::{ShortFlowKind, ShortFlowSource};
 pub use steer::{SteerSegment, SteeredSource};
-pub use tenant::TenantSet;
 pub use traffic::{ConstantRateSource, MergedSource, PoissonSource, RampSource, TrafficSource};
 
 use albatross_packet::FiveTuple;

@@ -45,6 +45,18 @@ echo "==> L3 model vs its oracle under a second property seed"
 # model it replaced; a fixed non-default seed widens the streams CI covers.
 TESTKIT_SEED=0x13A7 cargo test -q --offline -p albatross-mem --test cache_properties
 
+echo "==> Fig. 5 L3 hit-rate band (fig05_l3_hit_rate)"
+# Paper Fig. 5: the shared L3 hits 30-45% of lookups in PLB and RSS alike.
+# The bench marks each mode's row "in the paper's band" or "OUT OF BAND";
+# both rows must be in the band.
+fig05=$(cargo bench --offline -p albatross-bench --bench fig05_l3_hit_rate)
+printf '%s\n' "$fig05"
+in_band=$(printf '%s\n' "$fig05" | grep -c "in the paper's band" || true)
+if printf '%s\n' "$fig05" | grep -q "OUT OF BAND" || [ "$in_band" -lt 2 ]; then
+    echo "ERROR: Fig. 5 L3 hit rate is outside the paper's 30-45% band" >&2
+    exit 1
+fi
+
 echo "==> perfbench self-test (offline)"
 # perfbench is its own Cargo workspace with path dependencies on crates/*,
 # so nothing above compiles it: an API change that breaks one of its layer

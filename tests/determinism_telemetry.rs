@@ -2,84 +2,16 @@
 //!
 //! `end_to_end_dataplane.rs` already checks a handful of scalar counters
 //! for equality; this test holds the simulator to the actual contract: the
-//! *entire* telemetry surface — every histogram bucket, every per-core
-//! utilization sample, every tenant rate window, every float bit — must be
-//! identical across two runs of the same seeded scenario. Floats are
-//! compared through `f64::to_bits`, so even a sign-of-zero or NaN-payload
-//! difference would show up.
-//!
-//! The dump sorts `tenant_delivered` by VNI before rendering: HashMap
-//! iteration order is intentionally nondeterministic in Rust, and leaking
-//! it into the dump would make this test flaky by construction.
+//! *entire* telemetry surface — every counter, every histogram bucket,
+//! every per-core utilization sample, every tenant rate window, every
+//! float bit — must be identical across two runs of the same seeded
+//! scenario, as rendered by [`SimReport::canonical_dump`].
 
 use albatross::container::simrun::{PodSimulation, SimConfig, SimReport};
 use albatross::core::ratelimit::RateLimiterConfig;
 use albatross::gateway::services::ServiceKind;
 use albatross::sim::{LatencyModel, SimTime};
 use albatross::workload::{ConstantRateSource, FlowSet, MergedSource, TrafficSource};
-use std::fmt::Write as _;
-
-/// Renders every field of the report, floats as raw bits.
-fn dump(r: &SimReport) -> String {
-    let mut out = String::new();
-    let f = |v: f64| format!("f64:{:#018x}", v.to_bits());
-    writeln!(out, "measured_secs {}", f(r.measured_secs)).unwrap();
-    writeln!(out, "offered {}", r.offered).unwrap();
-    writeln!(out, "processed {}", r.processed).unwrap();
-    writeln!(out, "transmitted {}", r.transmitted).unwrap();
-    writeln!(out, "in_order {}", r.in_order).unwrap();
-    writeln!(out, "out_of_order {}", r.out_of_order).unwrap();
-    writeln!(out, "dropped_ratelimit {}", r.dropped_ratelimit).unwrap();
-    writeln!(out, "dropped_ingress_full {}", r.dropped_ingress_full).unwrap();
-    writeln!(out, "dropped_rx_queue {}", r.dropped_rx_queue).unwrap();
-    writeln!(out, "dropped_acl {}", r.dropped_acl).unwrap();
-    writeln!(out, "hol_timeouts {}", r.hol_timeouts).unwrap();
-    writeln!(out, "drop_flag_releases {}", r.drop_flag_releases).unwrap();
-    writeln!(out, "headers_dropped {}", r.headers_dropped).unwrap();
-    writeln!(out, "payloads_reaped {}", r.payloads_reaped).unwrap();
-    writeln!(out, "pcie_rx_bytes {}", r.pcie_rx_bytes).unwrap();
-    writeln!(out, "pcie_tx_bytes {}", r.pcie_tx_bytes).unwrap();
-    writeln!(out, "cache_hit_rate {}", f(r.cache_hit_rate)).unwrap();
-
-    writeln!(
-        out,
-        "latency count={} min={} max={}",
-        r.latency.count(),
-        r.latency.min(),
-        r.latency.max()
-    )
-    .unwrap();
-    for (lo, count) in r.latency.nonempty_buckets() {
-        writeln!(out, "latency_bucket {lo} {count}").unwrap();
-    }
-
-    writeln!(out, "per_core_processed {:?}", r.per_core_processed).unwrap();
-
-    for core in 0..r.core_util.cores() {
-        write!(out, "core_util[{core}]").unwrap();
-        for &(t, v) in r.core_util.core(core).points() {
-            write!(out, " {t}:{}", f(v)).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    write!(out, "core_util_dispersion").unwrap();
-    for &(t, v) in r.core_util.dispersion().points() {
-        write!(out, " {t}:{}", f(v)).unwrap();
-    }
-    writeln!(out).unwrap();
-
-    // HashMap: sort by tenant VNI for a canonical order.
-    let mut tenants: Vec<_> = r.tenant_delivered.iter().collect();
-    tenants.sort_by_key(|(vni, _)| **vni);
-    for (vni, meter) in tenants {
-        write!(out, "tenant {vni} total={}", meter.total()).unwrap();
-        for (t, rate) in meter.series() {
-            write!(out, " {t}:{}", f(rate)).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    out
-}
 
 /// A deliberately messy scenario: a flooding tenant slamming into the
 /// rate limiter, two polite tenants, and per-packet stack jitter so the
@@ -143,8 +75,8 @@ fn telemetry_dump_is_bit_identical_across_runs() {
     assert!(r1.out_of_order > 0, "jitter must disorder some packets");
     assert!(r1.latency.nonempty_buckets().count() > 10);
     assert_eq!(r1.tenant_delivered.len(), 3);
-    let a = dump(&r1);
-    let b = dump(&r2);
+    let a = r1.canonical_dump();
+    let b = r2.canonical_dump();
     assert_eq!(
         a, b,
         "telemetry dumps diverged between identical seeded runs"

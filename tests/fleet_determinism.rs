@@ -2,11 +2,11 @@
 //! scenarios at any thread count produces **byte-identical** output.
 //!
 //! A 4-scenario fleet (mixed services, modes, and seeds) is run at
-//! `threads ∈ {1, 2, 8}`; every run's reports are rendered into one
-//! [`ExperimentReport`] — floats via `to_bits`, histograms bucket by
-//! bucket — and the JSON must match byte for byte. `threads = 1` is the
-//! plain serial loop, so this also pins the parallel paths to the serial
-//! baseline, and the merged server-level aggregate
+//! `threads ∈ {1, 2, 8}`; every run's reports are rendered with
+//! [`SimReport::canonical_dump`] — every counter, float bit, histogram
+//! bucket and series point — and must match byte for byte. `threads = 1`
+//! is the plain serial loop, so this also pins the parallel paths to the
+//! serial baseline, and the merged server-level aggregate
 //! ([`SimReport::merge_ordered`]) is included so the merge layer is held
 //! to the same standard.
 
@@ -15,7 +15,6 @@ use albatross::container::simrun::{SimConfig, SimReport};
 use albatross::core::engine::LbMode;
 use albatross::gateway::services::ServiceKind;
 use albatross::sim::SimTime;
-use albatross::telemetry::ExperimentReport;
 use albatross::workload::{ConstantRateSource, FlowSet, TrafficSource};
 
 fn fleet() -> ScenarioFleet {
@@ -46,64 +45,16 @@ fn fleet() -> ScenarioFleet {
 }
 
 /// Renders a fleet run — every per-scenario report plus the ordered merge
-/// of all four — as a canonical JSON document. Floats go through
-/// `to_bits`, so any drift at all flips bytes.
+/// of all four — as one canonical text ([`SimReport::canonical_dump`]).
 fn render(results: &[(String, SimReport)]) -> String {
-    let mut rep = ExperimentReport::new("fleet", "fleet determinism surface");
-    let mut add = |name: &str, r: &SimReport| {
-        rep.row(
-            format!("{name} counters"),
-            "-",
-            format!(
-                "off={} proc={} tx={} ooo={} drops={}/{}/{}/{} hol={} hh={}/{}/{}/{}",
-                r.offered,
-                r.processed,
-                r.transmitted,
-                r.out_of_order,
-                r.dropped_ratelimit,
-                r.dropped_ingress_full,
-                r.dropped_rx_queue,
-                r.dropped_acl,
-                r.hol_timeouts,
-                r.hh_promotions,
-                r.hh_demotions,
-                r.hh_evictions,
-                r.hh_promotion_refused,
-            ),
-            "",
-        );
-        let buckets: Vec<String> = r
-            .latency
-            .nonempty_buckets()
-            .map(|(lo, c)| format!("{lo}:{c}"))
-            .collect();
-        rep.row(format!("{name} latency"), "-", buckets.join(","), "");
-        rep.row(
-            format!("{name} floats"),
-            "-",
-            format!(
-                "secs={:#018x} hit={:#018x} disp={:#018x}",
-                r.measured_secs.to_bits(),
-                r.cache_hit_rate.to_bits(),
-                r.core_util.dispersion().mean().to_bits(),
-            ),
-            "",
-        );
-        let mut vnis: Vec<_> = r.tenant_delivered.keys().copied().collect();
-        vnis.sort_unstable();
-        let tenants: Vec<String> = vnis
-            .iter()
-            .map(|v| format!("{v}={}", r.tenant_delivered[v].total()))
-            .collect();
-        rep.row(format!("{name} tenants"), "-", tenants.join(","), "");
-    };
+    let mut out = String::new();
     for (name, r) in results {
-        add(name, r);
+        out += &format!("== {name}\n{}", r.canonical_dump());
     }
     let merged =
         SimReport::merge_ordered(&results.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-    add("merged", &merged);
-    rep.to_json()
+    out += &format!("== merged\n{}", merged.canonical_dump());
+    out
 }
 
 #[test]
@@ -121,9 +72,9 @@ fn fleet_json_is_byte_identical_across_thread_counts() {
         renders.push((threads, render(&results)));
     }
     let (_, baseline) = &renders[0];
-    for (threads, json) in &renders[1..] {
+    for (threads, text) in &renders[1..] {
         assert_eq!(
-            json, baseline,
+            text, baseline,
             "threads={threads} diverged from the serial baseline"
         );
     }

@@ -15,7 +15,6 @@ use albatross::packet::FiveTuple;
 use albatross::sim::{LatencyModel, SimTime};
 use albatross::workload::{ConstantRateSource, FlowSet};
 use albatross_testkit::prelude::*;
-use std::fmt::Write as _;
 
 fn capacity(mode: LbMode, service: ServiceKind, cores: usize, seed: u64) -> f64 {
     let mut cfg = SimConfig::new(cores, service);
@@ -117,101 +116,6 @@ fn reorder_timeout_bounds_worst_case_added_latency() {
     );
 }
 
-/// Renders every field of the report, floats as raw bits — same full-fidelity
-/// dump as `determinism_telemetry.rs`, reused here to hold the pod loop's
-/// inline batching to bit-identity rather than mere counter equality.
-fn dump(r: &SimReport) -> String {
-    let mut out = String::new();
-    let f = |v: f64| format!("f64:{:#018x}", v.to_bits());
-    writeln!(out, "measured_secs {}", f(r.measured_secs)).unwrap();
-    writeln!(out, "offered {}", r.offered).unwrap();
-    writeln!(out, "processed {}", r.processed).unwrap();
-    writeln!(out, "transmitted {}", r.transmitted).unwrap();
-    writeln!(out, "in_order {}", r.in_order).unwrap();
-    writeln!(out, "out_of_order {}", r.out_of_order).unwrap();
-    writeln!(out, "dropped_ratelimit {}", r.dropped_ratelimit).unwrap();
-    writeln!(out, "dropped_ingress_full {}", r.dropped_ingress_full).unwrap();
-    writeln!(out, "dropped_rx_queue {}", r.dropped_rx_queue).unwrap();
-    writeln!(out, "dropped_acl {}", r.dropped_acl).unwrap();
-    writeln!(out, "hol_timeouts {}", r.hol_timeouts).unwrap();
-    writeln!(out, "drop_flag_releases {}", r.drop_flag_releases).unwrap();
-    writeln!(out, "headers_dropped {}", r.headers_dropped).unwrap();
-    writeln!(out, "payloads_reaped {}", r.payloads_reaped).unwrap();
-    writeln!(out, "pcie_rx_bytes {}", r.pcie_rx_bytes).unwrap();
-    writeln!(out, "pcie_tx_bytes {}", r.pcie_tx_bytes).unwrap();
-    writeln!(out, "cache_hit_rate {}", f(r.cache_hit_rate)).unwrap();
-    writeln!(
-        out,
-        "hh promotions={} demotions={} evictions={} refused={}",
-        r.hh_promotions, r.hh_demotions, r.hh_evictions, r.hh_promotion_refused
-    )
-    .unwrap();
-    write!(out, "hh_slot_occupancy").unwrap();
-    for &(t, v) in r.hh_slot_occupancy.points() {
-        write!(out, " {t}:{}", f(v)).unwrap();
-    }
-    writeln!(out).unwrap();
-    writeln!(
-        out,
-        "tier fpga={} dpu={} cpu={} promotions={} upgrades={} demotions={} \
-         evictions={} expired={} deferred={}",
-        r.tier_fpga_pkts,
-        r.tier_dpu_pkts,
-        r.tier_cpu_pkts,
-        r.tier_promotions,
-        r.tier_upgrades,
-        r.tier_demotions,
-        r.tier_evictions,
-        r.tier_expired,
-        r.tier_installs_deferred
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "flow hits={} installs={} deferred={} expired={}",
-        r.flow_hits, r.flow_installs, r.flow_deferred, r.flow_expired
-    )
-    .unwrap();
-
-    writeln!(
-        out,
-        "latency count={} min={} max={}",
-        r.latency.count(),
-        r.latency.min(),
-        r.latency.max()
-    )
-    .unwrap();
-    for (lo, count) in r.latency.nonempty_buckets() {
-        writeln!(out, "latency_bucket {lo} {count}").unwrap();
-    }
-
-    writeln!(out, "per_core_processed {:?}", r.per_core_processed).unwrap();
-
-    for core in 0..r.core_util.cores() {
-        write!(out, "core_util[{core}]").unwrap();
-        for &(t, v) in r.core_util.core(core).points() {
-            write!(out, " {t}:{}", f(v)).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    write!(out, "core_util_dispersion").unwrap();
-    for &(t, v) in r.core_util.dispersion().points() {
-        write!(out, " {t}:{}", f(v)).unwrap();
-    }
-    writeln!(out).unwrap();
-
-    let mut tenants: Vec<_> = r.tenant_delivered.iter().collect();
-    tenants.sort_by_key(|(vni, _)| **vni);
-    for (vni, meter) in tenants {
-        write!(out, "tenant {vni} total={}", meter.total()).unwrap();
-        for (t, rate) in meter.series() {
-            write!(out, " {t}:{}", f(rate)).unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    out
-}
-
 /// The stateful engine a burst-size run puts in the pod's path.
 #[derive(Debug, Clone, Copy)]
 enum PodEngine {
@@ -310,9 +214,18 @@ impl PodEngine {
 /// timeouts; without it, service completions carry no extra latency, which
 /// is exactly the regime where the inner loop takes its inlined
 /// CPU-return shortcut — both halves of the inline batching get exercised.
-fn burst_report(burst_size: usize, seed: u64, jitter: bool, engine: PodEngine) -> SimReport {
+/// A non-zero `warmup` ends inside the run, so the report is the
+/// difference of two snapshots of every total.
+fn burst_report(
+    burst_size: usize,
+    seed: u64,
+    jitter: bool,
+    engine: PodEngine,
+    warmup: SimTime,
+) -> SimReport {
     let mut cfg = SimConfig::new(4, ServiceKind::VpcVpc);
     cfg.seed = seed;
+    cfg.warmup = warmup;
     cfg.table_scale = 0.001;
     cfg.cache_bytes = 8 * 1024 * 1024;
     cfg.burst.burst_size = burst_size;
@@ -343,20 +256,27 @@ props! {
     /// entire telemetry surface bit-for-bit — every histogram bucket,
     /// utilization sample, and float bit — with each stateful engine in
     /// the path: the limiter's per-arrival RNG draws and the session
-    /// engines' Sample-tick expiry must not see the batching either.
+    /// engines' Sample-tick expiry must not see the batching either. Every
+    /// other arm (by seed parity) ends a 3 ms warm-up inside the run, so
+    /// the warm-up snapshot is held to the same bits.
     fn burst_sizes_produce_bit_identical_telemetry(
         seed in 1u64..500,
         jitter in any::<bool>(),
     ) {
-        for engine in PodEngine::ALL {
-            let scalar_report = burst_report(1, seed, jitter, engine);
+        for (i, engine) in PodEngine::ALL.into_iter().enumerate() {
+            let warmup = if (seed as usize + i).is_multiple_of(2) {
+                SimTime::from_millis(3)
+            } else {
+                SimTime::ZERO
+            };
+            let scalar_report = burst_report(1, seed, jitter, engine, warmup);
             assert!(
                 engine.exercised(&scalar_report),
                 "{engine:?} arm left its engine idle"
             );
-            let scalar = dump(&scalar_report);
-            let mid = dump(&burst_report(7, seed, jitter, engine));
-            let dpdk = dump(&burst_report(32, seed, jitter, engine));
+            let scalar = scalar_report.canonical_dump();
+            let mid = burst_report(7, seed, jitter, engine, warmup).canonical_dump();
+            let dpdk = burst_report(32, seed, jitter, engine, warmup).canonical_dump();
             assert_eq!(scalar, mid, "{engine:?}: burst_size 7 diverged from scalar");
             assert_eq!(scalar, dpdk, "{engine:?}: burst_size 32 diverged from scalar");
         }

@@ -9,9 +9,9 @@
 //!
 //! * the human-readable `AzReport::render` RESULT block — every drill
 //!   line, the conservation line, the route series;
-//! * a canonical [`ExperimentReport`] JSON of the merged [`SimReport`]
-//!   with floats via `to_bits` and the latency histogram bucket by
-//!   bucket, so any drift at all flips bytes.
+//! * the `SimReport::canonical_dump` of the merged report — every
+//!   counter, float bit, histogram bucket and series point — so any drift
+//!   at all flips bytes.
 //!
 //! `1×1` is the plain serial lockstep loop, so this pins every parallel
 //! geometry to the serial baseline — thread count and shard count must
@@ -19,73 +19,9 @@
 
 use albatross::container::az::{AzConfig, AzSimulation};
 use albatross::container::fleet::FleetConfig;
-use albatross::container::simrun::SimReport;
-use albatross::telemetry::ExperimentReport;
 
 fn suite_cfg() -> AzConfig {
     AzConfig::new(2, 2).with_drill_suite()
-}
-
-/// Renders the merged shard-level [`SimReport`] as canonical JSON —
-/// counters, histogram buckets, float bit patterns, sorted tenant totals.
-fn merged_json(r: &SimReport) -> String {
-    let mut rep = ExperimentReport::new("shards", "sharded determinism surface");
-    rep.row(
-        "counters",
-        "-",
-        format!(
-            "off={} proc={} tx={} ooo={} drops={}/{}/{}/{} hol={} hh={}/{}/{}/{}",
-            r.offered,
-            r.processed,
-            r.transmitted,
-            r.out_of_order,
-            r.dropped_ratelimit,
-            r.dropped_ingress_full,
-            r.dropped_rx_queue,
-            r.dropped_acl,
-            r.hol_timeouts,
-            r.hh_promotions,
-            r.hh_demotions,
-            r.hh_evictions,
-            r.hh_promotion_refused,
-        ),
-        "",
-    );
-    let buckets: Vec<String> = r
-        .latency
-        .nonempty_buckets()
-        .map(|(lo, c)| format!("{lo}:{c}"))
-        .collect();
-    rep.row("latency", "-", buckets.join(","), "");
-    rep.row(
-        "floats",
-        "-",
-        format!(
-            "secs={:#018x} hit={:#018x} disp={:#018x}",
-            r.measured_secs.to_bits(),
-            r.cache_hit_rate.to_bits(),
-            r.core_util.dispersion().mean().to_bits(),
-        ),
-        "",
-    );
-    let mut vnis: Vec<_> = r.tenant_delivered.keys().copied().collect();
-    vnis.sort_unstable();
-    let tenants: Vec<String> = vnis
-        .iter()
-        .map(|v| format!("{v}={}", r.tenant_delivered[v].total()))
-        .collect();
-    rep.row("tenants", "-", tenants.join(","), "");
-    rep.row(
-        "per-core",
-        "-",
-        r.per_core_processed
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        "",
-    );
-    rep.to_json()
 }
 
 #[test]
@@ -101,18 +37,18 @@ fn coupled_scenario_is_byte_identical_across_shard_and_thread_geometries() {
         assert!(report.merged.transmitted > 10_000);
         assert!(report.drills.iter().any(|d| d.blackholed > 0));
         let rendered = report.render(sim.config());
-        let json = merged_json(&report.merged);
-        runs.push((shards, threads, rendered, json));
+        let dump = report.merged.canonical_dump();
+        runs.push((shards, threads, rendered, dump));
     }
-    let (_, _, base_render, base_json) = &runs[0];
-    for (shards, threads, rendered, json) in &runs[1..] {
+    let (_, _, base_render, base_dump) = &runs[0];
+    for (shards, threads, rendered, dump) in &runs[1..] {
         assert_eq!(
             rendered, base_render,
             "{shards}x{threads} RESULT block diverged from the 1x1 baseline"
         );
         assert_eq!(
-            json, base_json,
-            "{shards}x{threads} merged SimReport JSON diverged from the 1x1 baseline"
+            dump, base_dump,
+            "{shards}x{threads} merged SimReport dump diverged from the 1x1 baseline"
         );
     }
     // The baseline itself carries RESULT lines (the rendered contract the

@@ -29,6 +29,15 @@
 //! pending event, so the event sequence — and therefore the whole report —
 //! is bit-identical for every `burst_size`, with `burst_size = 1`
 //! reproducing the one-event-per-packet loop literally.
+//!
+//! # Packets in one slab
+//!
+//! An admitted packet lives in the pod's packet slab from the moment
+//! dispatch sends it to a core until it returns to the NIC or its RX queue
+//! tail-drops it. Events, RX queues and the per-core in-service entries
+//! carry its `u32` slot, so an event is at most 16 B; the one source packet
+//! not yet admitted waits in a pod field for its `Arrival`. The reorder
+//! engine and the egress buffer still take whole packets (DESIGN.md §4l).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -40,7 +49,7 @@ use albatross_core::ratelimit::{RateLimiterConfig, TwoStageRateLimiter};
 use albatross_core::reorder::ReorderConfig;
 use albatross_fpga::basic::PayloadBuffer;
 use albatross_fpga::dma::DmaEngine;
-use albatross_fpga::pipeline::{Direction, NicPipelineLatency};
+use albatross_fpga::pipeline::{Direction, NicPipelineLatency, Stage};
 use albatross_fpga::pkt::{DeliveryMode, NicPacket};
 use albatross_fpga::tier::{SessionTier, TierConfig, TieredSessionEngine};
 use albatross_gateway::flowstate::{FlowStateConfig, FlowStateEngine, FlowVerdict};
@@ -563,20 +572,21 @@ fn histogram(h: &LatencyHistogram) -> String {
     )
 }
 
+/// A pod event. No event carries a packet: an admitted packet waits in the
+/// pod's [`PacketSlab`] and events name its `u32` slot, and the one source
+/// packet not yet admitted waits in `PodSimulation::pending` (DESIGN.md
+/// §4l).
 enum Ev {
-    /// Next packet from the source arrives at the NIC port.
-    Arrival(PacketDesc),
-    /// DMA delivered a packet descriptor into a core's RX queue.
-    Deliver { core: usize, pkt: NicPacket },
+    /// The pending source packet arrives at the NIC port.
+    Arrival,
+    /// DMA delivered the packet in `slot` into a core's RX queue.
+    Deliver { core: usize, slot: u32 },
     /// A core finished its current packet (core becomes free).
     CoreDone { core: usize },
-    /// A processed packet reaches the NIC's TX path. Separate from
-    /// `CoreDone` because software-stack jitter (driver batching, deferred
-    /// TX) delays the packet without occupying the data core.
-    CpuReturn {
-        pkt: NicPacket,
-        action: PacketAction,
-    },
+    /// The processed packet in `slot` reaches the NIC's TX path. Separate
+    /// from `CoreDone` because software-stack jitter (driver batching,
+    /// deferred TX) delays the packet without occupying the data core.
+    CpuReturn { slot: u32, action: PacketAction },
     /// Timeout-driven reorder check.
     ReorderPoll,
     /// Periodic core-utilization sample.
@@ -585,14 +595,60 @@ enum Ev {
     WarmupReset,
 }
 
+// Every wheel entry carries an `Ev`; keep it two words.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
+
+/// The packets between ingress and CPU return, each in a `u32` slot
+/// (DESIGN.md §4l). A packet enters after dispatch sends it to a core and
+/// leaves by value when it returns to the NIC, or when its RX queue
+/// tail-drops it. Freed slots are reused last in, first out, so the few
+/// hundred slots in flight stay in the host's near caches.
+#[derive(Default)]
+struct PacketSlab {
+    packets: Vec<NicPacket>,
+    /// Vacant slots, the most recently freed last.
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    /// Stores `pkt` and returns its slot.
+    fn insert(&mut self, pkt: NicPacket) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.packets[slot as usize] = pkt;
+            return slot;
+        }
+        let slot = u32::try_from(self.packets.len()).expect("more than 2^32 packets in flight");
+        self.packets.push(pkt);
+        slot
+    }
+
+    fn get(&self, slot: u32) -> &NicPacket {
+        &self.packets[slot as usize]
+    }
+
+    /// Frees `slot` and returns its packet.
+    fn remove(&mut self, slot: u32) -> NicPacket {
+        self.free.push(slot);
+        self.packets[slot as usize].clone()
+    }
+}
+
 /// The assembled simulation.
 pub struct PodSimulation {
     cfg: SimConfig,
     engine: Engine<Ev>,
     lb: PlbEngine,
     limiter: Option<TwoStageRateLimiter>,
-    cores: Vec<DataCore>,
-    in_flight: Vec<Option<(NicPacket, PacketAction, u64)>>,
+    /// Every admitted packet until its CPU return.
+    slab: PacketSlab,
+    /// The next source packet, due at its `Arrival` event; at most one is
+    /// ever pending.
+    pending: Option<PacketDesc>,
+    /// Each core's RX queue of slab slots.
+    cores: Vec<DataCore<u32>>,
+    /// Per core, the slot, verdict and extra TX delay of the packet in
+    /// service.
+    in_flight: Vec<Option<(u32, PacketAction, u64)>>,
     service: ServicePipeline,
     /// Three-tier session placement engine (FPGA/DPU/CPU); `None` keeps the
     /// classic all-CPU session path byte-for-byte unchanged.
@@ -608,7 +664,9 @@ pub struct PodSimulation {
     mem: MemorySystem,
     nb: NumaBalancing,
     rng: SimRng,
-    nic_latency: NicPipelineLatency,
+    /// NIC pipeline latency before the DMA stage, RX and TX.
+    rx_pre_dma_ns: u64,
+    tx_pre_dma_ns: u64,
     dma: DmaEngine,
     payload_buffer: PayloadBuffer,
     /// `(ordq, psn)` → packet id for in-flight header-only packets, so
@@ -665,10 +723,14 @@ impl PodSimulation {
             mode: cfg.mode,
             auto_fallback_hol_timeouts: None,
         });
+        let nic = NicPipelineLatency::production();
+        let pre_dma_ns = |dir| nic.total_ns(dir) - nic.stage_ns(Stage::Dma, dir);
         Self {
             engine: Engine::new(),
             lb,
             limiter: cfg.rate_limiter.clone().map(TwoStageRateLimiter::new),
+            slab: PacketSlab::default(),
+            pending: None,
             cores: (0..cfg.data_cores)
                 .map(|i| DataCore::new(i, cfg.rx_queue_depth))
                 .collect(),
@@ -681,7 +743,8 @@ impl PodSimulation {
             mem,
             nb: NumaBalancing::new(cfg.data_cores, cfg.numa_balancing),
             rng: SimRng::seed_from(cfg.seed),
-            nic_latency: NicPipelineLatency::production(),
+            rx_pre_dma_ns: pre_dma_ns(Direction::Rx),
+            tx_pre_dma_ns: pre_dma_ns(Direction::Tx),
             dma: DmaEngine::production(),
             payload_buffer: PayloadBuffer::new(cfg.payload_buffer_bytes),
             split_index: HashMap::new(),
@@ -734,7 +797,7 @@ impl PodSimulation {
     /// driver can interleave several pods epoch by epoch.
     fn start(&mut self, source: &mut dyn TrafficSource, _duration: SimTime) {
         if let Some(first) = source.next_packet() {
-            self.engine.schedule(first.time, Ev::Arrival(first));
+            self.schedule_arrival(first);
         }
         if self.cfg.warmup > SimTime::ZERO {
             self.engine.schedule(self.cfg.warmup, Ev::WarmupReset);
@@ -761,7 +824,11 @@ impl PodSimulation {
         let cap = deadline.min(duration);
         while let Some((now, ev)) = self.engine.pop_until(cap) {
             match ev {
-                Ev::Arrival(desc) => {
+                Ev::Arrival => {
+                    let desc = self
+                        .pending
+                        .take()
+                        .expect("Arrival without a pending packet");
                     self.on_arrival(desc, now);
                     // Inline-arrival batching: at most one Arrival is ever
                     // in the heap, so after serving it the next source
@@ -789,17 +856,20 @@ impl PodSimulation {
                             self.on_arrival(next, next.time);
                             batched += 1;
                         } else {
-                            self.engine.schedule(next.time, Ev::Arrival(next));
+                            self.schedule_arrival(next);
                             break;
                         }
                     }
                 }
-                Ev::Deliver { core, pkt } => {
-                    self.cores[core].enqueue(pkt);
+                Ev::Deliver { core, slot } => {
+                    if !self.cores[core].enqueue(slot).is_ok() {
+                        // Tail-dropped: the packet leaves the pod here.
+                        self.slab.remove(slot);
+                    }
                     self.maybe_start_core(core, now);
                 }
                 Ev::CoreDone { core } => {
-                    let (pkt, action, extra_ns) = self.in_flight[core]
+                    let (slot, action, extra_ns) = self.in_flight[core]
                         .take()
                         .expect("CoreDone without in-flight packet");
                     // Zero-jitter returns reach the TX path at `now`; if no
@@ -816,15 +886,15 @@ impl PodSimulation {
                         };
                     if inline_return {
                         self.maybe_start_core(core, now);
-                        self.on_cpu_return(pkt, action, now);
+                        self.on_cpu_return(slot, action, now);
                     } else {
                         self.engine
-                            .schedule(now + extra_ns, Ev::CpuReturn { pkt, action });
+                            .schedule(now + extra_ns, Ev::CpuReturn { slot, action });
                         self.maybe_start_core(core, now);
                     }
                 }
-                Ev::CpuReturn { pkt, action } => {
-                    self.on_cpu_return(pkt, action, now);
+                Ev::CpuReturn { slot, action } => {
+                    self.on_cpu_return(slot, action, now);
                 }
                 Ev::ReorderPoll => {
                     self.poll_at = None;
@@ -888,6 +958,18 @@ impl PodSimulation {
         )
     }
 
+    /// Makes `desc` the pending packet and schedules its `Arrival`.
+    ///
+    /// # Panics
+    /// Panics if another packet is already pending: the inline-arrival
+    /// batching keeps at most one `Arrival` queued (DESIGN.md §4b).
+    fn schedule_arrival(&mut self, desc: PacketDesc) {
+        let at = desc.time;
+        let earlier = self.pending.replace(desc);
+        assert!(earlier.is_none(), "a second Arrival was scheduled");
+        self.engine.schedule(at, Ev::Arrival);
+    }
+
     fn on_arrival(&mut self, desc: PacketDesc, now: SimTime) {
         self.offered += 1;
         // Gateway overload protection runs first, inside the NIC.
@@ -910,8 +992,7 @@ impl PodSimulation {
         }
         // Dispatch decision happens after the pre-DMA RX stages; the DMA
         // stage's latency depends on how many bytes cross PCIe.
-        let pre_dma_ns = self.nic_latency.total_ns(Direction::Rx) - 3_170;
-        let dispatch_at = now + pre_dma_ns;
+        let dispatch_at = now + self.rx_pre_dma_ns;
         match self.lb.ingress(&mut pkt, dispatch_at) {
             IngressDecision::Dropped => {
                 self.payload_buffer.reap(id);
@@ -923,9 +1004,10 @@ impl PodSimulation {
                         self.split_index.insert((meta.ordq, meta.psn), id);
                     }
                 }
-                let dma_ns = self.dma.transfer_rx(&pkt);
+                let delivered_at = dispatch_at + self.dma.transfer_rx(&pkt);
+                let slot = self.slab.insert(pkt);
                 self.engine
-                    .schedule(now + pre_dma_ns + dma_ns, Ev::Deliver { core, pkt });
+                    .schedule(delivered_at, Ev::Deliver { core, slot });
                 self.schedule_poll(now);
             }
         }
@@ -935,17 +1017,19 @@ impl PodSimulation {
         if !self.cores[core].idle_at(now) || self.in_flight[core].is_some() {
             return;
         }
-        let Some(pkt) = self.cores[core].take_next() else {
+        let Some(slot) = self.cores[core].take_next() else {
             return;
         };
-        let flow_hash = pkt.tuple.compact_hash();
+        let pkt = self.slab.get(slot);
+        let (tuple, len_bytes) = (pkt.tuple, pkt.len_bytes);
+        let flow_hash = tuple.compact_hash();
         let (outcome, tier_ns) = match self.tiers.as_mut() {
             Some(t) => {
                 // Placement decision per packet: hardware-resident flows skip
                 // the session-table step and pay the serving tier's cost
                 // instead (DPU detour rides the non-core-occupying TX delay,
                 // like stack jitter).
-                let tier = t.on_packet(&pkt.tuple, pkt.len_bytes, now);
+                let tier = t.on_packet(&tuple, len_bytes, now);
                 let mut o = self.service.process_offloaded(
                     core,
                     flow_hash,
@@ -963,7 +1047,7 @@ impl PodSimulation {
                     // installs and slow-path packets pay their cost on the
                     // core (the install doorbell and the software fallback
                     // both burn CPU — that is exactly the CPS ceiling).
-                    let verdict = fs.on_packet(&pkt.tuple, now);
+                    let verdict = fs.on_packet(&tuple, now);
                     let mut o = self.service.process_offloaded(
                         core,
                         flow_hash,
@@ -996,11 +1080,12 @@ impl PodSimulation {
                 .as_ref()
                 .map_or(0, |m| m.sample(&mut self.rng));
         let done = self.cores[core].begin(now, outcome.latency_ns + stall);
-        self.in_flight[core] = Some((pkt, outcome.action, extra_ns));
+        self.in_flight[core] = Some((slot, outcome.action, extra_ns));
         self.engine.schedule(done, Ev::CoreDone { core });
     }
 
-    fn on_cpu_return(&mut self, mut pkt: NicPacket, action: PacketAction, now: SimTime) {
+    fn on_cpu_return(&mut self, slot: u32, action: PacketAction, now: SimTime) {
+        let mut pkt = self.slab.remove(slot);
         match action {
             PacketAction::Drop => {
                 self.dropped_acl += 1;
@@ -1019,8 +1104,7 @@ impl PodSimulation {
                 }
             }
             PacketAction::Forward => {
-                let pre_ns = self.nic_latency.total_ns(Direction::Tx) - 2_980;
-                let tx_total = pre_ns + self.dma.transfer_tx(&pkt);
+                let tx_total = self.tx_pre_dma_ns + self.dma.transfer_tx(&pkt);
                 let payload_available = pkt.delivery == DeliveryMode::FullPacket
                     || self.payload_buffer.contains(pkt.id);
                 let mut buf = std::mem::take(&mut self.egress_buf);
@@ -1314,12 +1398,24 @@ mod tests {
     }
 
     /// 100 flows of tenant 7 at `pps`, `bytes` each, for 50 ms, run to
-    /// 60 ms.
+    /// 60 ms. Every packet has left the pod by then, so the run also checks
+    /// that every slab slot is free again.
     fn run_sized(cfg: SimConfig, pps: u64, bytes: u32) -> SimReport {
         let flows = FlowSet::generate(100, Some(7), 3);
+        let horizon = SimTime::from_millis(60);
         let mut src =
             ConstantRateSource::new(flows, pps, bytes, SimTime::ZERO, SimTime::from_millis(50));
-        PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(60))
+        let mut sim = PodSimulation::new(cfg);
+        sim.start(&mut src, horizon);
+        sim.step_until(&mut src, horizon, horizon);
+        let slab = &sim.slab;
+        assert!(!slab.packets.is_empty(), "no packet was admitted");
+        assert_eq!(
+            slab.free.len(),
+            slab.packets.len(),
+            "slots held at the horizon"
+        );
+        sim.finish(horizon)
     }
 
     fn run_cfg(cfg: SimConfig, pps: u64) -> SimReport {
@@ -1646,6 +1742,25 @@ mod tests {
             r.processed,
             "every processed packet is attributed to exactly one tier"
         );
+    }
+
+    #[test]
+    fn slab_slots_all_return_after_drops_and_deferred_returns() {
+        // `run_sized` checks the slab; each case checks that its path ran.
+        let mut cfg = small_cfg(LbMode::Rss, 2);
+        cfg.rx_queue_depth = 4;
+        assert!(run_cfg(cfg, 5_000_000).dropped_rx_queue > 0);
+        for use_drop_flag in [true, false] {
+            let mut cfg = small_cfg(LbMode::Plb, 2);
+            cfg.acl_drop_modulus = Some(4);
+            cfg.use_drop_flag = use_drop_flag;
+            assert!(run_cfg(cfg, 100_000).dropped_acl > 0);
+        }
+        let mut cfg = small_cfg(LbMode::Plb, 2);
+        cfg.delivery = DeliveryMode::HeaderOnly;
+        assert!(run_sized(cfg, 100_000, 4_000).transmitted > 0);
+        // DPU-served packets return through deferred `CpuReturn` events.
+        assert!(run_cfg(tiered_cfg(9), 600_000).tier_dpu_pkts > 0);
     }
 
     #[test]

@@ -5,23 +5,27 @@
 //! [`DataCore`] couples an RX queue (fed by the NIC's DMA into this core's
 //! queue pair) with a busy-until clock and utilization accounting — the
 //! instrument behind Fig. 10's per-core utilization dispersion.
+//!
+//! The RX queue holds whatever the caller queues per packet: the pod
+//! queues `u32` slots of its packet slab, a standalone core whole
+//! [`NicPacket`]s (the default).
 
 use albatross_fpga::pkt::NicPacket;
 use albatross_sim::queue::Enqueue;
 use albatross_sim::{BoundedQueue, SimTime};
 
-/// One data core.
+/// One data core, queueing one `P` per received packet.
 #[derive(Debug)]
-pub struct DataCore {
+pub struct DataCore<P = NicPacket> {
     id: usize,
-    rx: BoundedQueue<NicPacket>,
+    rx: BoundedQueue<P>,
     busy_until: SimTime,
     processed: u64,
     busy_ns_total: u64,
     window_busy_ns: u64,
 }
 
-impl DataCore {
+impl<P> DataCore<P> {
     /// Creates a core with an RX queue of `rx_depth` descriptors.
     pub fn new(id: usize, rx_depth: usize) -> Self {
         Self {
@@ -41,7 +45,7 @@ impl DataCore {
 
     /// Enqueues a packet into the core's RX queue (tail-drop when full —
     /// "RX/TX queue congestion" is one of §4.1's HOL causes).
-    pub fn enqueue(&mut self, pkt: NicPacket) -> Enqueue {
+    pub fn enqueue(&mut self, pkt: P) -> Enqueue {
         self.rx.push(pkt)
     }
 
@@ -56,7 +60,7 @@ impl DataCore {
     }
 
     /// Pops the next packet to process, if any.
-    pub fn take_next(&mut self) -> Option<NicPacket> {
+    pub fn take_next(&mut self) -> Option<P> {
         self.rx.pop()
     }
 
@@ -122,7 +126,7 @@ mod tests {
 
     #[test]
     fn begin_makes_core_busy_until_completion() {
-        let mut c = DataCore::new(0, 8);
+        let mut c: DataCore = DataCore::new(0, 8);
         let done = c.begin(SimTime::from_micros(10), 700);
         assert_eq!(done, SimTime::from_nanos(10_700));
         assert!(!c.idle_at(SimTime::from_nanos(10_699)));
@@ -133,7 +137,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double-scheduled")]
     fn double_scheduling_is_a_bug() {
-        let mut c = DataCore::new(3, 8);
+        let mut c: DataCore = DataCore::new(3, 8);
         c.begin(SimTime::ZERO, 1_000);
         c.begin(SimTime::from_nanos(500), 1_000);
     }
@@ -151,7 +155,7 @@ mod tests {
 
     #[test]
     fn utilization_sampling_resets_each_window() {
-        let mut c = DataCore::new(0, 8);
+        let mut c: DataCore = DataCore::new(0, 8);
         c.begin(SimTime::ZERO, 400_000);
         // 1 ms window, 0.4 ms busy → 40%.
         assert!((c.sample_utilization(1_000_000) - 0.4).abs() < 1e-12);
@@ -162,7 +166,7 @@ mod tests {
 
     #[test]
     fn utilization_clamps_at_one() {
-        let mut c = DataCore::new(0, 8);
+        let mut c: DataCore = DataCore::new(0, 8);
         c.begin(SimTime::ZERO, 5_000_000);
         assert_eq!(c.sample_utilization(1_000_000), 1.0);
     }

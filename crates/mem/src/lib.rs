@@ -105,10 +105,10 @@ impl MemorySystem {
     /// (capped at 8 lines — entries are "hundreds of bytes", §4.2); steps
     /// are charged in order.
     ///
-    /// Before the first charge, the chain reads the set record of every line
-    /// it will charge through [`SharedCache::touch`], so the host overlaps
-    /// its own misses on the cache model's table instead of taking them one
-    /// access at a time. Touching writes nothing, so every hit, miss, victim
+    /// Before the first charge, the chain reads the tag line and order word
+    /// of every line it will charge through [`SharedCache::touch`], so the
+    /// host overlaps its own misses on the cache model's tables instead of
+    /// taking them one access at a time. Touching writes nothing, so every hit, miss, victim
     /// and latency is the one charging the lines one by one would give.
     pub fn read_chain(&mut self, core: usize, chain: &[(u64, u32)]) -> u64 {
         let mut fold = 0;

@@ -1,6 +1,7 @@
-//! Property tests: `SharedCache`, which keeps each set as one 128 B record
-//! of `u32` tags and stamps, against `RefCache`, the split-array `u64`
-//! true-LRU model it replaced, copied verbatim below as the oracle.
+//! Property tests: `SharedCache`, which keeps each set as one 64 B line of
+//! `u32` tags plus a `u64` recency order word, against `RefCache`, the
+//! split-array `u64` true-LRU stamp model that came before both it and the
+//! 128 B set record, copied verbatim below as the oracle.
 //!
 //! Streams mix runs of lines that share one set (stride = sets × 64 B, more
 //! lines than ways, so evictions follow recency), multi-line entries, random

@@ -35,14 +35,40 @@ cargo build --release --offline --workspace --benches
 echo "==> cargo test (offline)"
 cargo test -q --offline --release --workspace
 
+echo "==> reference CLI runs vs tests/golden/cli"
+# Seven `albatross run` scenarios whose stdout is pinned byte for byte: the
+# Tab. 3 shape, VPC-Internet, RSS, header-only delivery with ACL drops,
+# cross-NUMA placement, the rate limiter, and NUMA balancing without the
+# drop flag. A change that moves one must say why and re-record its file
+# with `albatross run ARGS > tests/golden/cli/NAME.txt`.
+cli_golden() {
+    local name=$1
+    shift
+    if ! cargo run -q --release --offline --bin albatross -- run "$@" |
+        diff -u "tests/golden/cli/$name.txt" -; then
+        echo "ERROR: albatross run $* differs from tests/golden/cli/$name.txt" >&2
+        exit 1
+    fi
+}
+cli_golden tab3_44core --cores 44 --pps 40000000 --millis 20 --flows 500000
+cli_golden vpc_internet_16core --cores 16 --service vpc-internet --pps 12000000 --millis 20 --flows 200000
+cli_golden rss_16core --cores 16 --mode rss --pps 20000000 --millis 20
+cli_golden header_only_acl --cores 8 --header-only --acl-drop-mod 7 --pps 8000000 --millis 20
+cli_golden cross_numa --cores 8 --cross-numa --pps 8000000 --millis 20
+cli_golden ratelimit --cores 8 --ratelimit 3000000 --pps 9000000 --millis 20
+cli_golden numa_balancing_no_flag --cores 8 --numa-balancing --no-drop-flag --acl-drop-mod 5 --pps 9000000 --millis 20
+echo "    7 CLI scenarios byte-identical to tests/golden/cli"
+
 echo "==> albatross-mem tests in a debug build (overflow checks on)"
-# Release builds wrap integer overflow silently; the L3 model's u32 stamp
-# clock and tag arithmetic must also pass with overflow checks enabled.
+# Release builds wrap integer overflow silently; the L3 model's tag
+# arithmetic and the nibble shifts of its order words must also pass with
+# overflow checks enabled.
 cargo test -q --offline -p albatross-mem
 
 echo "==> L3 model vs its oracle under a second property seed"
-# cache_properties compares the record-per-set cache with the split-array
-# model it replaced; a fixed non-default seed widens the streams CI covers.
+# cache_properties compares the tag-line and order-word cache with the
+# split-array stamp model kept as its oracle; a fixed non-default seed
+# widens the streams CI covers.
 TESTKIT_SEED=0x13A7 cargo test -q --offline -p albatross-mem --test cache_properties
 
 echo "==> Fig. 5 L3 hit-rate band (fig05_l3_hit_rate)"

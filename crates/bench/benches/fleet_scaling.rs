@@ -3,7 +3,7 @@
 //! Two acceptance gates from the parallel-fleet refactor:
 //!
 //! 1. **Fleet scaling** — an 8-scenario sweep should finish ≥ 2.5× faster
-//!    at `threads = 8` than at `threads = 1` (the shards are fully
+//!    at `threads = 8` than at `threads = 1` (the scenarios are fully
 //!    independent, so the ceiling is core count; the reports must also be
 //!    identical, which the determinism suite pins separately).
 //! 2. **Wheel vs heap** — the hierarchical timing wheel that replaced the
@@ -59,7 +59,7 @@ fn bench_fleet_scaling() {
     let ncpu = std::thread::available_parallelism().map_or(1, |n| n.get());
     let time = |threads: usize| {
         let t0 = Instant::now();
-        let results = fleet.run(&FleetConfig { threads, shards: 1 });
+        let results = fleet.run(&FleetConfig { threads });
         let elapsed = t0.elapsed();
         black_box(results.iter().map(|r| r.report.processed).sum::<u64>());
         elapsed

@@ -23,15 +23,14 @@ pub use albatross_telemetry::ExperimentReport;
 /// Positional (non-flag) argv tokens, used as substring name filters by
 /// every `benches/*` target — `cargo bench --bench micro -- toeplitz` runs
 /// only the Toeplitz benchmark, and `scripts/ci.sh` smoke-runs single
-/// harnesses the same way. The values following `--threads` and `--shards`
-/// flags are consumed (they are geometry knobs, not filters);
-/// `--threads=N` / `--shards=N` and other `-`-prefixed tokens are ignored
-/// outright.
+/// harnesses the same way. The value following a `--threads` flag is
+/// consumed (it is the fleet's thread count, not a filter); `--threads=N`
+/// and other `-`-prefixed tokens are ignored outright.
 pub fn bench_filters() -> Vec<String> {
     let mut out = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--threads" || a == "--shards" {
+        if a == "--threads" {
             let _ = args.next();
         } else if !a.starts_with('-') {
             out.push(a);
@@ -48,10 +47,9 @@ pub fn bench_enabled(name: &str) -> bool {
     filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
 }
 
-/// The fleet execution config for harnesses: honours `--threads N` and
-/// `--shards N` argv (also `=N` forms) and the `ALBATROSS_THREADS` /
-/// `ALBATROSS_SHARDS` env vars, defaulting to `available_parallelism`
-/// (shards defaulting to threads).
+/// The fleet execution config for harnesses: honours `--threads N` argv
+/// (also `--threads=N`) and the `ALBATROSS_THREADS` env var, defaulting to
+/// `available_parallelism`.
 pub fn fleet_threads() -> FleetConfig {
     FleetConfig::from_env()
 }

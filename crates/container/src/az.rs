@@ -27,11 +27,11 @@
 //!    route touched). The output is a *steering timeline*.
 //! 2. **Data-plane phase**: the timeline is compiled into per-pod
 //!    [`SteerSegment`] trains — the uplink switch spreads the service's
-//!    aggregate rate equally over routed VIPs — and the pods run as
-//!    lockstep shards of **one** scenario through the
-//!    [`ShardedPodSimulation`] (conservative-lookahead epochs, DESIGN.md
-//!    §4g). Reports merge in pod order via [`SimReport::merge_ordered`],
-//!    so any `shards × threads` geometry reproduces the serial bytes.
+//!    aggregate rate equally over routed VIPs — and every pod with traffic
+//!    runs as its own [`Scenario`] of one [`ScenarioFleet`]: pods share no
+//!    state at run time, so they need no coordination. Reports merge in
+//!    pod order via [`SimReport::merge_ordered`], so any thread count
+//!    reproduces the serial bytes.
 //!
 //! Packets steered at a VIP whose pod is dead or link-silenced — the
 //! window between failure and the withdraw becoming effective upstream —
@@ -54,13 +54,13 @@ use albatross_bgp::proxy::BgpProxy;
 use albatross_bgp::switchcp::SwitchControlPlane;
 use albatross_sim::{Engine, EventScript, SimTime};
 use albatross_telemetry::TimeSeries;
-use albatross_workload::{FlowSet, SteerSegment, SteeredSource};
+use albatross_workload::{FlowSet, SteerSegment, SteeredSource, TrafficSource};
 
-use crate::fleet::FleetConfig;
+use crate::fleet::{FleetConfig, Scenario, ScenarioFleet};
 use crate::migration::{Migration, VALIDATION_PERIOD};
 use crate::orchestrator::Orchestrator;
 use crate::pod::{GwPodSpec, GwRole};
-use crate::simrun::{ShardedPodSimulation, SimConfig, SimReport};
+use crate::simrun::{SimConfig, SimReport};
 
 /// One scripted failure drill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +146,7 @@ pub struct AzConfig {
     pub servers: usize,
     /// GW pods initially running per server (each with its own /32 VIP).
     pub pods_per_server: usize,
-    /// Data cores per pod shard.
+    /// Data cores per pod.
     pub data_cores: usize,
     /// Role every pod runs (fixes the service pipeline).
     pub role: GwRole,
@@ -157,14 +157,14 @@ pub struct AzConfig {
     pub len_bytes: u32,
     /// Concurrent flows per pod source.
     pub flows_per_pod: usize,
-    /// Working-set scale for the pod shards.
+    /// Working-set scale for the pods.
     pub table_scale: f64,
-    /// Total virtual duration of each pod shard.
+    /// Total virtual duration of each pod's run.
     pub duration: SimTime,
     /// Drain margin: steering stops this long before `duration` so every
     /// in-flight packet egresses and the conservation law is exact.
     pub drain: SimTime,
-    /// Base seed (per-shard seeds derive from it).
+    /// Base seed (per-pod seeds derive from it).
     pub seed: u64,
     /// The drill script.
     pub drills: Vec<DrillSpec>,
@@ -307,7 +307,7 @@ pub struct DrillReport {
     /// `offered − blackholed − vf_lost`: what the data plane must deliver
     /// when it introduces no loss of its own.
     pub expected_delivered: u64,
-    /// Packets actually transmitted by the pod shards (per-VNI meters).
+    /// Packets actually transmitted by the pods (per-VNI meters).
     pub delivered: u64,
     /// `delivered / offered`.
     pub delivery_ratio: f64,
@@ -326,7 +326,7 @@ pub struct DrillReport {
 /// Everything an AZ run produced.
 #[derive(Debug)]
 pub struct AzReport {
-    /// All pod shards merged in pod order ([`SimReport::merge_ordered`]).
+    /// Every pod's report merged in pod order ([`SimReport::merge_ordered`]).
     pub merged: SimReport,
     /// The ambient (non-drill) window.
     pub baseline: DrillReport,
@@ -334,7 +334,7 @@ pub struct AzReport {
     pub drills: Vec<DrillReport>,
     /// Routed VIP count after every control-plane change.
     pub route_series: TimeSeries,
-    /// Pod shards that carried traffic.
+    /// Pods that carried traffic.
     pub shards: usize,
 }
 
@@ -819,8 +819,7 @@ impl AzSimulation {
     }
 
     /// Runs both phases and returns the merged report. `fleet_cfg` only
-    /// affects wall-clock: any `shards × threads` geometry produces
-    /// identical bytes.
+    /// affects wall-clock: any thread count produces identical bytes.
     pub fn run(&self, fleet_cfg: &FleetConfig) -> AzReport {
         let cfg = &self.cfg;
         let horizon = cfg.horizon();
@@ -939,31 +938,29 @@ impl AzSimulation {
             }
         }
 
-        // ---- Phase 2: pod shard trains on the lockstep shard layer. ----
-        // True in-scenario sharding (sim::shard): every pod with traffic
-        // becomes one pod of a single ShardedPodSimulation, grouped into
-        // `fleet_cfg.shards` lockstep shards over `fleet_cfg.threads`
-        // workers. Pod configs and seeds are bit-identical to the old
-        // fleet-of-independent-scenarios path, so the merged report — and
-        // every RESULT line derived from it — is unchanged at any
-        // shards × threads geometry.
-        let mut sharded = ShardedPodSimulation::new();
-        let mut shard_pods = Vec::new();
-        for (p, segs) in per_pod.iter().enumerate() {
+        // ---- Phase 2: one fleet scenario per pod with traffic. ----
+        // All coupling happened in phase 1, so the pods run independently
+        // and merge in pod order: the merged report — and every RESULT
+        // line derived from it — is the same at any thread count.
+        let mut fleet = ScenarioFleet::new();
+        for (p, segs) in per_pod.into_iter().enumerate() {
             if segs.is_empty() {
                 continue;
             }
-            shard_pods.push(p);
             let seed = cfg.seed.wrapping_add(7919 * (p as u64 + 1));
             let mut sc = SimConfig::new(cfg.data_cores, cfg.role.service());
             sc.table_scale = cfg.table_scale;
             sc.track_tenant_latency = true;
             sc.seed = seed;
-            let flowset = FlowSet::generate(cfg.flows_per_pod, None, seed ^ 0x5a5a);
-            let src = SteeredSource::new(flowset, cfg.len_bytes, segs.clone());
-            sharded.push(sc, Box::new(src), cfg.duration);
+            let (flows, len_bytes) = (cfg.flows_per_pod, cfg.len_bytes);
+            fleet.push(Scenario::new(format!("pod{p}"), cfg.duration, move || {
+                let flowset = FlowSet::generate(flows, None, seed ^ 0x5a5a);
+                let src = SteeredSource::new(flowset, len_bytes, segs.clone());
+                (sc.clone(), Box::new(src) as Box<dyn TrafficSource>)
+            }));
         }
-        let reports = sharded.run(fleet_cfg.shards, fleet_cfg.threads);
+        let pods = fleet.len();
+        let reports: Vec<SimReport> = fleet.run(fleet_cfg).into_iter().map(|r| r.report).collect();
         let merged = SimReport::merge_ordered(&reports);
 
         // ---- Attribute per-window outcomes. ----
@@ -1042,7 +1039,7 @@ impl AzSimulation {
             baseline,
             drills,
             route_series,
-            shards: shard_pods.len(),
+            shards: pods,
         }
     }
 }
@@ -1084,19 +1081,17 @@ mod tests {
         // The respawned pod re-advertised: all 4 VIPs routed at the end.
         let (_, last_routes) = *report.route_series.points().last().expect("snapshots");
         assert_eq!(last_routes, 4.0);
-        // Crashed pod is replaced, so one extra shard ran.
+        // Crashed pod is replaced, so one extra pod ran.
         assert_eq!(report.shards, 5);
     }
 
     #[test]
-    fn shard_and_thread_geometry_never_changes_a_byte() {
+    fn thread_count_never_changes_a_byte() {
         let sim = AzSimulation::new(mini_crash_cfg());
         let serial = sim.run(&FleetConfig::serial()).render(sim.config());
-        for (shards, threads) in [(1, 2), (2, 2), (4, 2)] {
-            let wide = sim
-                .run(&FleetConfig { threads, shards })
-                .render(sim.config());
-            assert_eq!(serial, wide, "shards={shards} threads={threads}");
+        for threads in [2, 4] {
+            let wide = sim.run(&FleetConfig { threads }).render(sim.config());
+            assert_eq!(serial, wide, "threads={threads}");
         }
     }
 

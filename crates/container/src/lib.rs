@@ -34,8 +34,8 @@ pub mod simrun;
 
 pub use az::{AzConfig, AzReport, AzSimulation, DrillKind, DrillReport, DrillSpec};
 pub use cost::{AzCostModel, GatewayGeneration};
-pub use fleet::{FleetConfig, FleetResult, FleetRunner, Scenario, ScenarioFleet};
+pub use fleet::{FleetConfig, FleetResult, Scenario, ScenarioFleet};
 pub use orchestrator::Orchestrator;
 pub use pod::{GwPodSpec, GwRole};
 pub use server::AlbatrossServer;
-pub use simrun::{PodSimulation, ShardedPodSimulation, SimConfig, SimReport};
+pub use simrun::{PodSimulation, SimConfig, SimReport};

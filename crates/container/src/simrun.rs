@@ -57,9 +57,7 @@ use albatross_gateway::services::{PacketAction, ServiceKind, ServicePipeline};
 use albatross_gateway::worker::DataCore;
 use albatross_mem::tables::CloudGatewayTables;
 use albatross_mem::{DramModel, MemorySystem, NumaBalancing, NumaTopology, Placement, SharedCache};
-use albatross_sim::{
-    Engine, EpochShard, LatencyModel, LockstepRunner, Lookahead, ShardMsg, SimRng, SimTime,
-};
+use albatross_sim::{Engine, LatencyModel, SimRng, SimTime};
 use albatross_telemetry::{CoreUtilization, LatencyHistogram, RateMeter, TimeSeries};
 use albatross_workload::{PacketDesc, TrafficSource};
 
@@ -400,7 +398,7 @@ impl SimCounters {
 impl SimReport {
     /// Merges per-pod reports — in the given, fixed order — into one
     /// server-level aggregate (e.g. the co-resident GW pods of one
-    /// Albatross server, or the shards of a fleet sweep).
+    /// Albatross server, or the scenarios of a fleet sweep).
     ///
     /// The merge is the fleet's determinism anchor (DESIGN.md §4d): every
     /// rule depends only on the *input order*, never on thread scheduling —
@@ -787,15 +785,15 @@ impl PodSimulation {
     /// Runs `source` until `duration` of virtual time has elapsed, then
     /// returns the report for the post-warm-up interval.
     pub fn run(mut self, source: &mut dyn TrafficSource, duration: SimTime) -> SimReport {
-        self.start(source, duration);
-        self.step_until(source, duration, duration);
+        self.start(source);
+        self.step_until(source, duration);
         self.finish(duration)
     }
 
     /// Schedules the preamble events (first arrival, warm-up reset, first
-    /// utilization sample). Split out of [`run`](Self::run) so the sharded
-    /// driver can interleave several pods epoch by epoch.
-    fn start(&mut self, source: &mut dyn TrafficSource, _duration: SimTime) {
+    /// utilization sample). [`run`](Self::run)'s steps are separate so a
+    /// test can inspect the pod before [`finish`](Self::finish) consumes it.
+    fn start(&mut self, source: &mut dyn TrafficSource) {
         if let Some(first) = source.next_packet() {
             self.schedule_arrival(first);
         }
@@ -805,24 +803,10 @@ impl PodSimulation {
         self.engine.schedule(self.cfg.sample_window, Ev::Sample);
     }
 
-    /// Timestamp of the next pending event, if any — the quote the lockstep
-    /// layer uses to pick epoch starts.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        self.engine.peek_time()
-    }
-
-    /// Executes every event with `time <= min(deadline, duration)`. The
-    /// whole-run case (`deadline == duration`) is the classic loop;
-    /// the sharded driver calls this once per lockstep epoch with the
-    /// epoch deadline. Slicing is *ordering-exact*: an arrival beyond the
-    /// epoch cap is scheduled instead of inlined (exactly the scalar
-    /// fallback the batching guard already has), which preserves the event
-    /// handling order — and therefore every byte of the report — for any
-    /// slicing of `[0, duration]` into deadlines.
-    fn step_until(&mut self, source: &mut dyn TrafficSource, duration: SimTime, deadline: SimTime) {
+    /// Executes every event with `time <= duration`.
+    fn step_until(&mut self, source: &mut dyn TrafficSource, duration: SimTime) {
         let burst_size = self.cfg.burst.burst_size.max(1);
-        let cap = deadline.min(duration);
-        while let Some((now, ev)) = self.engine.pop_until(cap) {
+        while let Some((now, ev)) = self.engine.pop_until(duration) {
             match ev {
                 Ev::Arrival => {
                     let desc = self
@@ -847,7 +831,6 @@ impl PodSimulation {
                             break;
                         }
                         let inline_ok = batched < burst_size
-                            && next.time <= cap
                             && match self.engine.peek_time() {
                                 None => true,
                                 Some(head) => next.time < head,
@@ -905,7 +888,7 @@ impl PodSimulation {
                 Ev::Sample => {
                     // Idle-session expiry shares the sampling cadence: the
                     // tick is part of the event order, so expiry timing is
-                    // identical across shard geometries.
+                    // deterministic.
                     if let Some(t) = self.tiers.as_mut() {
                         t.expire(now);
                     }
@@ -1247,141 +1230,6 @@ impl PodSimulation {
     }
 }
 
-impl Lookahead for Ev {
-    /// No pod can affect another pod sooner than a packet can transit the
-    /// NIC RX pipeline (wire + parser + DMA, 3.9 µs) — the natural
-    /// conservative lookahead window for pod-granular sharding.
-    fn lookahead_ns() -> u64 {
-        NicPipelineLatency::production().total_ns(Direction::Rx)
-    }
-}
-
-struct PodShard {
-    sim: PodSimulation,
-    source: Box<dyn TrafficSource + Send>,
-    duration: SimTime,
-}
-
-/// One lockstep shard: a contiguous group of pods (pods-per-shard > 1 when
-/// the run has more pods than shards).
-struct PodGroup {
-    pods: Vec<PodShard>,
-}
-
-impl EpochShard for PodGroup {
-    type Event = Ev;
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        // Events beyond a pod's horizon will never be popped (step_until
-        // caps at `duration`), so they must not open epochs either or the
-        // lockstep loop would spin forever.
-        self.pods
-            .iter_mut()
-            .filter_map(|p| p.sim.next_event_time().filter(|t| *t <= p.duration))
-            .min()
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        for p in &mut self.pods {
-            p.sim.step_until(p.source.as_mut(), p.duration, deadline);
-        }
-    }
-
-    fn deliver(&mut self, msgs: Vec<ShardMsg<Ev>>) {
-        // Pods are coupled through the pre-computed steering timeline, not
-        // through runtime messages (yet) — nothing should arrive here.
-        assert!(
-            msgs.is_empty(),
-            "pod shards do not exchange runtime messages"
-        );
-    }
-}
-
-/// Several pods executed as lockstep shards of **one** scenario.
-///
-/// This is the sharded driver of the coupled simulations: every pod keeps
-/// its own [`PodSimulation`] (timing wheel included), pods are grouped into
-/// `shards` contiguous groups, and the groups advance in conservative-
-/// lookahead epochs on up to `threads` persistent workers (see
-/// `albatross_sim::shard`). The reports come back in push order and are
-/// byte-identical for every `shards × threads` combination — including
-/// `1 × 1`, which is the plain serial loop.
-pub struct ShardedPodSimulation {
-    pods: Vec<PodShard>,
-}
-
-impl ShardedPodSimulation {
-    /// Creates an empty run.
-    pub fn new() -> Self {
-        Self { pods: Vec::new() }
-    }
-
-    /// Adds a pod: built immediately (on the calling thread, so
-    /// construction order is deterministic) and run until `duration`.
-    pub fn push(
-        &mut self,
-        cfg: SimConfig,
-        source: Box<dyn TrafficSource + Send>,
-        duration: SimTime,
-    ) {
-        self.pods.push(PodShard {
-            sim: PodSimulation::new(cfg),
-            source,
-            duration,
-        });
-    }
-
-    /// Number of pods pushed so far.
-    pub fn len(&self) -> usize {
-        self.pods.len()
-    }
-
-    /// True when no pods were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.pods.is_empty()
-    }
-
-    /// Runs every pod to its horizon over `shards` lockstep shards and up
-    /// to `threads` worker threads, returning the per-pod reports in push
-    /// order. Both knobs are clamped to the pod count; neither changes a
-    /// byte of any report.
-    pub fn run(self, shards: usize, threads: usize) -> Vec<SimReport> {
-        let n = self.pods.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let shards = shards.clamp(1, n);
-        let mut pods = self.pods;
-        for p in &mut pods {
-            p.sim.start(p.source.as_mut(), p.duration);
-        }
-        // Contiguous grouping: pods [g·chunk, (g+1)·chunk) form shard g.
-        // Grouping affects wall clock only — reports are grouped back in
-        // push order below and each pod's event sequence is private.
-        let chunk = n.div_ceil(shards);
-        let mut groups: Vec<PodGroup> = Vec::with_capacity(shards);
-        let mut iter = pods.into_iter();
-        for _ in 0..shards {
-            let group: Vec<PodShard> = iter.by_ref().take(chunk).collect();
-            if !group.is_empty() {
-                groups.push(PodGroup { pods: group });
-            }
-        }
-        LockstepRunner::new(Ev::lookahead_ns(), threads).run(&mut groups);
-        groups
-            .into_iter()
-            .flat_map(|g| g.pods)
-            .map(|p| p.sim.finish(p.duration))
-            .collect()
-    }
-}
-
-impl Default for ShardedPodSimulation {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1406,8 +1254,8 @@ mod tests {
         let mut src =
             ConstantRateSource::new(flows, pps, bytes, SimTime::ZERO, SimTime::from_millis(50));
         let mut sim = PodSimulation::new(cfg);
-        sim.start(&mut src, horizon);
-        sim.step_until(&mut src, horizon, horizon);
+        sim.start(&mut src);
+        sim.step_until(&mut src, horizon);
         let slab = &sim.slab;
         assert!(!slab.packets.is_empty(), "no packet was admitted");
         assert_eq!(
@@ -1649,53 +1497,6 @@ mod tests {
         assert_eq!(a.canonical_dump(), b.canonical_dump());
     }
 
-    /// Runs `pods` pods alone, then together over each `(shards, threads)`
-    /// geometry, which must reproduce every lone run's dump. Returns the
-    /// lone runs' reports.
-    fn assert_geometry_invariant(
-        pod: impl Fn(u64) -> (SimConfig, ConstantRateSource),
-        pods: u64,
-        geometries: &[(usize, usize)],
-    ) -> Vec<SimReport> {
-        let duration = SimTime::from_millis(10);
-        let reference: Vec<SimReport> = (0..pods)
-            .map(|s| {
-                let (cfg, mut src) = pod(s);
-                PodSimulation::new(cfg).run(&mut src, duration)
-            })
-            .collect();
-        let dumps: Vec<String> = reference.iter().map(SimReport::canonical_dump).collect();
-        for &(shards, threads) in geometries {
-            let mut sharded = ShardedPodSimulation::new();
-            for s in 0..pods {
-                let (cfg, src) = pod(s);
-                sharded.push(cfg, Box::new(src), duration);
-            }
-            let got: Vec<String> = sharded
-                .run(shards, threads)
-                .iter()
-                .map(SimReport::canonical_dump)
-                .collect();
-            assert_eq!(got, dumps, "shards={shards} threads={threads}");
-        }
-        reference
-    }
-
-    #[test]
-    fn sharded_pods_match_plain_runs_at_any_geometry() {
-        let pod = |seed: u64| {
-            let mut cfg = small_cfg(LbMode::Plb, 2);
-            cfg.seed = seed;
-            let flows = FlowSet::generate(50, Some(seed as u32), seed ^ 0x5a5a);
-            let end = SimTime::from_millis(8);
-            (
-                cfg,
-                ConstantRateSource::new(flows, 150_000, 256, SimTime::ZERO, end),
-            )
-        };
-        assert_geometry_invariant(pod, 5, &[(1, 1), (3, 1), (5, 2), (5, 5), (8, 4)]);
-    }
-
     fn tiered_cfg(seed: u64) -> SimConfig {
         use albatross_fpga::tier::InstallBudget;
         let mut cfg = small_cfg(LbMode::Plb, 2);
@@ -1761,20 +1562,5 @@ mod tests {
         assert!(run_sized(cfg, 100_000, 4_000).transmitted > 0);
         // DPU-served packets return through deferred `CpuReturn` events.
         assert!(run_cfg(tiered_cfg(9), 600_000).tier_dpu_pkts > 0);
-    }
-
-    #[test]
-    fn tiered_pods_are_byte_identical_across_shard_geometries() {
-        let pod = |seed: u64| {
-            let flows = FlowSet::generate(60, Some(seed as u32), seed ^ 0x33);
-            let end = SimTime::from_millis(8);
-            let src = ConstantRateSource::new(flows, 180_000, 256, SimTime::ZERO, end);
-            (tiered_cfg(seed), src)
-        };
-        let reference = assert_geometry_invariant(pod, 4, &[(1, 1), (2, 2), (4, 4)]);
-        assert!(
-            reference.iter().any(|r| r.tier_promotions > 0),
-            "tier counters must be live in the reference runs"
-        );
     }
 }

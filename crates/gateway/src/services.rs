@@ -4,10 +4,13 @@
 //! typically involved" (§4.2). Each service is a fixed chain of table
 //! lookups over the [`albatross_mem`] working set plus a base compute cost;
 //! per-packet latency *emerges* from the cache model: the same flow touches
-//! the same entries (temporal locality), a 500K-flow mix against several GB
-//! of tables yields the paper's 30–45% L3 hit rate, and VPC-Internet's
-//! longer chain makes it the slowest service (Tab. 3's 81.6 Mpps vs
-//! 120+ Mpps).
+//! the same entries (temporal locality), and a 500K-flow mix against
+//! several GB of tables hits L3 only part of the time. The paper's 30–45%
+//! L3 hit rate is its Fig. 5 measurement of VPC-Internet, and that is the
+//! service the model matches it on (`fig05_l3_hit_rate`: 37.6% PLB, 38.2%
+//! RSS on the measured interval); the shorter chains of the other services
+//! hit 49–55% (Tab. 3's notes). VPC-Internet's longer chain also makes it
+//! the slowest service (Tab. 3's 81.6 Mpps vs 120+ Mpps).
 //!
 //! The optional ACL-deny knob drops a configurable slice of flows mid-chain
 //! — the packet-loss source for the Fig. 12 drop-flag experiment. The

@@ -72,29 +72,14 @@ const SLOT_MASK: usize = SLOTS - 1;
 /// 64-bit occupancy words covering the slots (64 × 64 = 4096).
 const WORDS: usize = SLOTS / 64;
 
-/// Handle to a scheduled event, usable with [`Engine::cancel`].
-///
-/// An id is only meaningful to the engine that issued it: `seq` indexes
-/// that engine's private sequence space, so handing a handle from shard A
-/// to shard B would silently cancel whatever event happens to share the
-/// number. The id therefore carries the issuing engine's shard id (see
-/// [`Engine::with_shard`]) and [`Engine::cancel`] panics on a mismatch
-/// with a clear message instead of corrupting the run.
+/// Handle to a scheduled event, usable with [`Engine::cancel`] of the
+/// engine that issued it (`seq` indexes that engine's sequence space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId {
     seq: u64,
     /// Wheel tick of the scheduled time — lets `cancel` find the slot
     /// without a lookup table.
     tick: u64,
-    /// Shard id of the issuing engine.
-    shard: u32,
-}
-
-impl EventId {
-    /// Shard id of the engine that issued this handle.
-    pub fn shard(self) -> u32 {
-        self.shard
-    }
 }
 
 struct Entry<E> {
@@ -156,9 +141,6 @@ pub struct Engine<E> {
     live: usize,
     next_seq: u64,
     now: SimTime,
-    /// Stamped into every issued [`EventId`] so cross-shard cancel misuse
-    /// is caught instead of corrupting another engine's queue.
-    shard: u32,
 }
 
 impl<E> Default for Engine<E> {
@@ -168,16 +150,8 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Creates an empty engine at time zero, on shard 0 (the only shard of
-    /// a single-engine run).
+    /// Creates an empty engine at time zero.
     pub fn new() -> Self {
-        Self::with_shard(0)
-    }
-
-    /// Creates an empty engine at time zero that stamps `shard` into every
-    /// [`EventId`] it issues. Sharded runs give each engine a distinct id so
-    /// a cancel handle that strays across shards panics loudly.
-    pub fn with_shard(shard: u32) -> Self {
         Self {
             slots: (0..SLOTS).map(|_| Vec::new()).collect(),
             occupancy: [0; WORDS],
@@ -189,18 +163,12 @@ impl<E> Engine<E> {
             live: 0,
             next_seq: 0,
             now: SimTime::ZERO,
-            shard,
         }
     }
 
     /// Current virtual time: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The shard id stamped into this engine's [`EventId`]s.
-    pub fn shard_id(&self) -> u32 {
-        self.shard
     }
 
     #[inline]
@@ -334,11 +302,7 @@ impl<E> Engine<E> {
             self.overflow_live.insert(seq);
         }
         self.live += 1;
-        EventId {
-            seq,
-            tick,
-            shard: self.shard,
-        }
+        EventId { seq, tick }
     }
 
     /// Schedules `event` `delay_ns` after the current time, using the one
@@ -349,18 +313,8 @@ impl<E> Engine<E> {
     }
 
     /// Cancels a scheduled event. Cancelling an already-fired or unknown id
-    /// is a no-op (the id space is never reused, so this is safe). The id
-    /// must come from *this* engine: a handle issued by another shard's
-    /// engine panics, because its sequence number would otherwise silently
-    /// cancel an unrelated local event.
+    /// is a no-op (the id space is never reused, so this is safe).
     pub fn cancel(&mut self, id: EventId) {
-        assert!(
-            id.shard == self.shard,
-            "EventId issued by shard {} used on shard {}: cancel handles are \
-             only valid within the engine that issued them",
-            id.shard,
-            self.shard
-        );
         if id.tick < self.base_tick {
             // Strictly before the current tick: fired long ago.
             return;
@@ -647,25 +601,6 @@ mod tests {
             assert_eq!(e.pop().unwrap().1, i);
         }
         assert!(e.pop().is_none());
-    }
-
-    #[test]
-    fn event_ids_carry_their_shard() {
-        let mut a = Engine::with_shard(3);
-        assert_eq!(a.shard_id(), 3);
-        let id = a.schedule(SimTime::from_nanos(10), ());
-        assert_eq!(id.shard(), 3);
-        a.cancel(id); // same shard: fine
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "EventId issued by shard 0 used on shard 1")]
-    fn foreign_shard_cancel_panics() {
-        let mut a = Engine::with_shard(0);
-        let mut b = Engine::<()>::with_shard(1);
-        let id = a.schedule(SimTime::from_nanos(10), ());
-        b.cancel(id);
     }
 
     #[test]

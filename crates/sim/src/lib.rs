@@ -12,10 +12,9 @@
 //! simple and robust, no clever type tricks, and — because the workload is
 //! CPU-bound — plain synchronous code rather than an async runtime.
 //! Experiments run on this engine with fixed seeds so every table and
-//! figure regenerates deterministically; coupled scenarios too big for one
-//! thread run on the [`shard`] layer, which executes several engines in
-//! conservative-lookahead lockstep without changing a single byte of
-//! output.
+//! figure regenerates deterministically. Each simulation owns one engine;
+//! runs that need several cores run several independent simulations
+//! (`container::fleet`), never one simulation across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +27,6 @@ pub mod queue;
 pub mod rate;
 pub mod rng;
 pub mod script;
-pub mod shard;
 pub mod time;
 
 pub use det::{BuildDetHasher, DetHashMap, DetHashSet};
@@ -39,7 +37,4 @@ pub use queue::BoundedQueue;
 pub use rate::TokenBucket;
 pub use rng::SimRng;
 pub use script::EventScript;
-pub use shard::{
-    EpochShard, LockstepRunner, Lookahead, ShardChannel, ShardCtx, ShardMsg, ShardedEngine,
-};
 pub use time::SimTime;

@@ -60,8 +60,7 @@ impl SimTime {
     ///
     /// This is *the* forward-arithmetic policy for virtual time, shared by
     /// every scheduling path — `Add`/`AddAssign` below,
-    /// [`Engine::schedule_after`](crate::Engine::schedule_after), epoch
-    /// deadlines in [`shard`](crate::shard), and
+    /// [`Engine::schedule_after`](crate::Engine::schedule_after) and
     /// [`EventScript`](crate::EventScript) replay (whose entries go through
     /// the same operators). Saturation keeps time monotone under any delay
     /// a caller can produce, so one inlined helper replaces scattered

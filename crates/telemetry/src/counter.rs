@@ -120,7 +120,7 @@ impl RateMeter {
 
     /// Merges another meter into this one by summing per-window counts.
     /// Counts are integers, so the merge is exact, commutative, and
-    /// associative — fleet shards can merge in any grouping and the result
+    /// associative — fleet scenarios can merge in any grouping and the result
     /// is bit-identical.
     ///
     /// # Panics

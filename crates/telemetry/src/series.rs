@@ -58,9 +58,9 @@ impl TimeSeries {
     /// Merges another (time-sorted) series into this one, keeping the
     /// result time-sorted. The merge is *stable*: on a timestamp tie,
     /// `self`'s points precede `other`'s — so merging a fixed sequence of
-    /// shard series in shard order always yields the same byte-identical
-    /// result, regardless of which thread finished first (the fleet's
-    /// ordered-merge rule, DESIGN.md §4d).
+    /// scenario series in scenario order always yields the same
+    /// byte-identical result, regardless of which thread finished first
+    /// (the fleet's ordered-merge rule, DESIGN.md §4d).
     pub fn merge_ordered(&mut self, other: &TimeSeries) {
         if other.points.is_empty() {
             return;

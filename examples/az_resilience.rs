@@ -2,7 +2,7 @@
 //! failure suite (Fig. 15's operational story, run as a simulation).
 //!
 //! ```sh
-//! cargo run --release --example az_resilience -- --threads 4 --shards 4
+//! cargo run --release --example az_resilience -- --threads 4
 //! ```
 //!
 //! Eight gateway servers × four pods share one switch control plane:
@@ -14,9 +14,9 @@
 //! failure, and an elastic scale-out — while steered traffic flows the
 //! whole time. Every drill window reports delivery, blackholed packets,
 //! p99 latency, and control-plane convergence; the output is canonical
-//! (`RESULT` lines, floats as bits) so CI can diff it across execution
-//! geometries — `--threads` worker threads and `--shards` lockstep
-//! shards (DESIGN.md §4g) must never change a byte.
+//! (`RESULT` lines, floats as bits) so CI can diff it across thread
+//! counts: the pods run as a scenario fleet on `--threads` worker threads,
+//! which must never change a byte (DESIGN.md §4d, §4f).
 
 use albatross::container::az::{AzConfig, AzSimulation};
 use albatross::container::fleet::FleetConfig;
@@ -33,13 +33,12 @@ fn main() {
     let fleet = FleetConfig::from_env();
     println!(
         "== AZ resilience: {} servers x {} pods, {} pps aggregate, {} drills \
-         (threads={}, shards={}) ==\n",
+         (threads={}) ==\n",
         cfg.servers,
         cfg.pods_per_server,
         cfg.pps,
         cfg.drills.len(),
         fleet.threads,
-        fleet.shards,
     );
 
     let sim = AzSimulation::new(cfg);

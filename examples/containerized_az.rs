@@ -114,7 +114,7 @@ fn main() {
     // --- 4. One server's co-resident GW pods, as a fleet ---------------
     // An Albatross server hosts two GW pods, one per NUMA node, each
     // owning its own VFs and queue pairs — fully independent data paths.
-    // Simulate both pods as fleet shards (they may run on two OS threads;
+    // Simulate both pods as fleet scenarios (they may run on two OS threads;
     // `--threads` / ALBATROSS_THREADS picks) and fold them into one
     // server-level report with the ordered merge.
     println!("\n== Co-resident GW pods (one server, two NUMA nodes) ==");

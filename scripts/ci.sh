@@ -124,22 +124,22 @@ if [ "$lines" != "3" ]; then
     exit 1
 fi
 
-echo "==> AZ resilience drill gate (examples/az_resilience, 1x1 vs 4x4)"
+echo "==> AZ resilience drill gate (examples/az_resilience, threads=1 vs threads=4)"
 # The coupled AZ simulation (shared switch control plane, per-server BGP
 # proxies, per-pod BFD, five failure drills) must produce byte-identical
-# canonical output at any shards x threads geometry (DESIGN.md §4g): the
-# serial arm is the plain lockstep loop, the wide arm runs 4 shards over
-# 4 worker threads. The example also asserts the headline drill contracts
-# (crash convergence, loss-free migration, zero-route storm, per-window
-# conservation) before printing.
-az_serial=$(cargo run --release --offline --example az_resilience -- --threads 1 --shards 1 | grep '^RESULT')
-az_wide=$(cargo run --release --offline --example az_resilience -- --threads 4 --shards 4 | grep '^RESULT')
+# canonical output at any thread count (DESIGN.md §4f): the serial arm
+# runs the pods one after another on the calling thread, the wide arm
+# runs them as a fleet on 4 worker threads. The example also asserts the
+# headline drill contracts (crash convergence, loss-free migration,
+# zero-route storm, per-window conservation) before printing.
+az_serial=$(cargo run --release --offline --example az_resilience -- --threads 1 | grep '^RESULT')
+az_wide=$(cargo run --release --offline --example az_resilience -- --threads 4 | grep '^RESULT')
 if [ "$az_serial" != "$az_wide" ]; then
-    echo "ERROR: AZ drill output depends on the shards x threads geometry" >&2
+    echo "ERROR: AZ drill output depends on the thread count" >&2
     diff <(printf '%s\n' "$az_serial") <(printf '%s\n' "$az_wide") >&2 || true
     exit 1
 fi
-echo "    AZ drill output byte-identical at 1x1 and 4x4 (shards x threads)"
+echo "    AZ drill output byte-identical at threads=1 and threads=4"
 
 echo "==> co-resident pod fleet smoke (examples/containerized_az)"
 # Control-plane walk plus the two-NUMA pod fleet merged into one server
@@ -151,13 +151,6 @@ echo "==> fleet + timing-wheel scaling smoke bench"
 # printed gates are judged from the report (single-core CI machines cannot
 # show fleet speedup, and the bench says so explicitly).
 cargo bench --offline -p albatross-bench --bench fleet_scaling -- fleet_scaling
-
-echo "==> sharded-engine scaling smoke bench"
-# One coupled 8-pod scenario over lockstep shards. The run opens with an
-# untimed exactness gate (8x1 and 8xN must match 1x1 byte for byte) that
-# hard-fails on divergence; the >= 2.5x speedup is judged from the printed
-# report (single-core CI machines cannot show it, and the bench says so).
-cargo bench --offline -p albatross-bench --bench shard_scaling -- shard_scaling
 
 echo "==> co-offload tier sweep smoke bench + determinism gate"
 # Zipf sweep of the dynamic FPGA/DPU/CPU hierarchy. The bench itself gates

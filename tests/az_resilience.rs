@@ -17,7 +17,8 @@
 //! * conservation: `delivered == offered − blackholed − vf_lost`, exactly.
 //!
 //! Determinism: the whole report renders byte-identically at
-//! `threads ∈ {1, 4}`.
+//! `threads ∈ {1, 4}`, and so does the merged report's canonical dump —
+//! every counter, float bit, histogram bucket and series point.
 
 use std::sync::OnceLock;
 
@@ -169,7 +170,7 @@ fn scale_out_adds_a_routed_pod_after_bringup() {
         "10 s bring-up + one route learned"
     );
     // 4 initial pods + crash respawn + migration replacement + scale-out.
-    assert_eq!(report.shards, 7, "every replacement ran as its own shard");
+    assert_eq!(report.shards, 7, "every replacement ran as its own pod");
 }
 
 #[test]
@@ -180,7 +181,7 @@ fn baseline_windows_are_loss_free_and_conservation_holds_overall() {
     assert_eq!(base.vf_lost, 0);
     assert_eq!(base.delivered, base.offered);
     assert_eq!(base.delivery_ratio.to_bits(), 1.0f64.to_bits());
-    // Global conservation across every window: what the shards transmitted
+    // Global conservation across every window: what the pods transmitted
     // is exactly what was offered minus the two analytic loss channels.
     let expected: u64 = base.expected_delivered
         + report
@@ -191,7 +192,7 @@ fn baseline_windows_are_loss_free_and_conservation_holds_overall() {
     assert_eq!(report.merged.transmitted, expected);
     assert_eq!(
         report.merged.offered, expected,
-        "shards saw exactly the NIC share"
+        "pods saw exactly the NIC share"
     );
     // The data plane itself dropped nothing at these rates.
     assert_eq!(report.merged.dropped_rx_queue, 0);
@@ -243,16 +244,18 @@ fn suite_script_matches_the_documented_drills() {
 
 #[test]
 fn twin_runs_are_byte_identical_at_1_and_4_threads() {
-    let (_, serial) = suite();
+    let (serial_report, serial) = suite();
     let sim = AzSimulation::new(suite_cfg());
-    let parallel = sim
-        .run(&FleetConfig {
-            threads: 4,
-            shards: 4,
-        })
-        .render(sim.config());
+    let parallel = sim.run(&FleetConfig { threads: 4 });
+    assert!(serial.contains("RESULT az "), "render carries RESULT lines");
     assert_eq!(
-        serial, &parallel,
-        "execution geometry must never change a byte of the AZ report"
+        serial,
+        &parallel.render(sim.config()),
+        "thread count must never change a byte of the AZ report"
+    );
+    assert_eq!(
+        serial_report.merged.canonical_dump(),
+        parallel.merged.canonical_dump(),
+        "thread count must never change a byte of the merged SimReport"
     );
 }

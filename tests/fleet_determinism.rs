@@ -63,7 +63,7 @@ fn fleet_json_is_byte_identical_across_thread_counts() {
     let mut renders = Vec::new();
     for threads in [1usize, 2, 8] {
         let results: Vec<(String, SimReport)> = fleet
-            .run(&FleetConfig { threads, shards: 1 })
+            .run(&FleetConfig { threads })
             .into_iter()
             .map(|r| (r.name, r.report))
             .collect();

@@ -888,7 +888,7 @@ impl PodSimulation {
                 Ev::Sample => {
                     // Idle-session expiry shares the sampling cadence: the
                     // tick is part of the event order, so expiry timing is
-                    // deterministic.
+                    // the same at any burst size.
                     if let Some(t) = self.tiers.as_mut() {
                         t.expire(now);
                     }

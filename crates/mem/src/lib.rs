@@ -9,6 +9,10 @@
 //! on VPC-VPC, and Automatic NUMA Balancing causes latency bursts at 90%
 //! load.
 //!
+//! In this model the 30–45% band holds for VPC-Internet, the service Fig. 5
+//! measures; the shorter chains of the other services hit 49–55%
+//! (`gateway::services`).
+//!
 //! This crate models exactly those mechanisms:
 //!
 //! * [`cache::SharedCache`] — a set-associative, true-LRU, shared L3 with
